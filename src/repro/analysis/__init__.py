@@ -23,7 +23,7 @@ Shipped rules (each a registered class in
 ========  ==========================================================
 DET001    no nondeterminism sources in canonical-write modules
 HOT001    no allocating constructs in ``@hot_path`` / ``*_fast`` code
-PAR001    tier-parity surfaces (fast/batch vs. refpath, CLI mirrors,
+PAR001    tier-parity surfaces (fast probes vs. refpath, CLI mirrors,
           ``NodeMetrics`` serialization round-trip)
 PKL001    pool submit sites take module-level callables only
 CFG001    config dataclasses frozen and fully annotated

@@ -1,7 +1,7 @@
 """HOT001 — no allocating constructs in hot-path functions.
 
-The per-event loops (``Node.run_events`` and everything it calls on a
-hit) execute hundreds of thousands of times per trace; an allocation
+The per-event loops (the functional pass and timing replay of
+:mod:`repro.core.split`, and everything they call on a hit) execute hundreds of thousands of times per trace; an allocation
 per event dominates the profile (PR 4's optimization work exists
 precisely because of this).  The repo marks that surface two ways —
 the ``*_fast`` naming convention and the explicit

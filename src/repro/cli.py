@@ -13,9 +13,10 @@ Eight subcommands:
 * ``deact cache`` — ``merge`` shard caches into the canonical cache
   (conflict-aware), ``validate`` a cache against a sweep spec, and
   report coverage ``status``.
-* ``deact bench`` — measure the three execution tiers (reference /
-  scalar-fast / batch) and *append* a provenance-stamped entry to the
-  machine-readable perf trajectory (``BENCH_core_loop.json``);
+* ``deact bench`` — measure the two execution tiers (reference and
+  the fast functional/timing split) and *append* a provenance-stamped
+  entry to the machine-readable perf trajectory
+  (``BENCH_core_loop.json``);
   ``deact bench compare`` diffs two trajectories per (benchmark,
   architecture, tier) cell and exits non-zero on regression.
 * ``deact profile`` — cProfile one job and print the hottest
@@ -37,9 +38,9 @@ Examples::
     deact cache merge --cache results.json
     deact cache validate --cache results.json --benchmark mcf
     deact bench --events 8000 --out BENCH_core_loop.json
-    deact bench compare old.json new.json --tolerance batch=0.3
+    deact bench compare old.json new.json --tolerance fast=0.3
     deact bench compare --against-baseline /tmp/candidate.json
-    deact profile --benchmark lu --arch deact-n --mode batch --limit 15
+    deact profile --benchmark lu --arch deact-n --limit 15
     deact check --json
     deact check --rule HOT001 --fix-hints
     deact figures --figure 12 --jobs 4
@@ -155,7 +156,10 @@ def _cmd_run(args) -> int:
         print(f"harness wall time   : {telemetry['wall_s'] * 1e3:.1f} ms "
               f"({telemetry['events_per_sec']:,.0f} events/s, "
               f"{telemetry.get('probes_per_event', 0.0):.2f} "
-              f"tag probes/event)")
+              f"tag probes/event; node streams "
+              f"{telemetry.get('streams_built', 0.0):.0f} built, "
+              f"{telemetry.get('streams_reused', 0.0):.0f} reused, "
+              f"{telemetry.get('streams_refused', 0.0):.0f} refused)")
     return 0
 
 
@@ -341,7 +345,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         return _cmd_bench_compare(args, parser)
     from repro.errors import BenchError
     from repro.experiments.bench import (
-        HOT_BENCH,
+        DEFAULT_BENCHMARKS,
         default_json_path,
         measure_core_loop,
         render_census,
@@ -352,8 +356,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     settings = RunSettings(n_events=args.events,
                            footprint_scale=args.footprint_scale,
                            seed=args.seed)
-    benchmarks = args.benchmark or [HOT_BENCH, "hotspot", "lu",
-                                    "bc"]
+    benchmarks = args.benchmark or list(DEFAULT_BENCHMARKS)
     architectures = args.arch or sorted(ARCHITECTURES)
     payload = measure_core_loop(settings, benchmarks, architectures,
                                 repeats=args.repeats)
@@ -399,30 +402,10 @@ def _parse_tolerances(parser: argparse.ArgumentParser, specs) -> dict:
     return tolerances
 
 
-def _parse_batch_floors(parser: argparse.ArgumentParser, specs) -> dict:
-    """``--require-batch-floor BENCH[=MIN]`` flags into a mapping."""
-    floors = {}
-    for spec in specs or []:
-        benchmark, sep, value = spec.partition("=")
-        minimum = 1.0
-        if sep:
-            try:
-                minimum = float(value)
-            except ValueError:
-                parser.error(f"--require-batch-floor expects "
-                             f"BENCH[=MIN], got {spec!r}")
-        if not benchmark or minimum <= 0:
-            parser.error(f"--require-batch-floor expects a benchmark "
-                         f"and a positive floor, got {spec!r}")
-        floors[benchmark] = minimum
-    return floors
-
-
 def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
     from repro.errors import BenchError
     from repro.experiments.bench import default_json_path
     from repro.experiments.trajectory import (
-        batch_floor_verdicts,
         compare_entries,
         latest_entry,
         load_trajectory,
@@ -431,7 +414,6 @@ def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
     )
 
     tolerances = _parse_tolerances(parser, args.tolerance)
-    floors = _parse_batch_floors(parser, args.require_batch_floor)
     unpinned_tolerance = args.tolerance_unpinned
     if unpinned_tolerance is not None \
             and not 0.0 <= unpinned_tolerance < 1.0:
@@ -490,16 +472,10 @@ def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
     if pinned_note:
         print(pinned_note)
     print(report.render())
-    floors_ok = True
-    if floors:
-        print("batch-over-fast floors (candidate, absolute):")
-        for verdict in batch_floor_verdicts(candidate, floors):
-            print(f"  {verdict.render()}")
-            floors_ok = floors_ok and verdict.ok
-    return 0 if report.ok and floors_ok else 1
+    return 0 if report.ok else 1
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     import cProfile
     import pstats
 
@@ -522,23 +498,18 @@ def _cmd_profile(args) -> int:
         traces = build_traces(args.benchmark, args.nodes, settings)
     config = default_config(nodes=args.nodes)
     system = FamSystem(config, args.arch, seed=settings.seed * 31 + 5)
-    segment_timing = args.mode != "reference" and not args.no_segments
     profiler = cProfile.Profile()
-    profiler.enable()
-    system.run(traces, benchmark=args.benchmark, mode=args.mode,
-               segment_timing=segment_timing)
-    profiler.disable()
+    try:
+        profiler.enable()
+        system.run(traces, benchmark=args.benchmark, mode=args.mode)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    finally:
+        profiler.disable()
     print(f"profile: {args.benchmark} on {args.arch} "
           f"({args.events} events, {args.mode} tier)")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    if segment_timing and system.segment_stats is not None:
-        # Per-segment-kind census: how the run-plan layer classified
-        # the trace, and where the wall clock went — a miss-heavy
-        # workload regressing shows up here as scalar-segment
-        # dominance before any pstats spelunking.
-        print("segment census (per kind, with run-length histograms):")
-        print(system.segment_stats.render())
     return 0
 
 
@@ -696,22 +667,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status_parser.add_argument("--cache", required=True)
     _add_sweep_spec_args(status_parser)
 
-    # Literal mirrors of repro.core.system.EXECUTION_MODES and
-    # repro.experiments.bench.HOT_BENCH: spelling them out keeps the
-    # heavy experiment/bench stack un-imported for the other
-    # subcommands (tests pin the CLI choices to the real constants).
-    execution_modes = ("batch", "fast", "reference")
+    # Literal mirror of repro.experiments.bench.HOT_BENCH: spelling it
+    # out keeps the heavy experiment/bench stack un-imported for the
+    # other subcommands (PAR001 pins it to the real constant).
     hot_bench = "hot-loop"
 
     bench_parser = sub.add_parser(
-        "bench", help="measure the reference/fast/batch execution "
-                      "tiers and append to the BENCH_core_loop.json "
+        "bench", help="measure the reference and fast execution tiers "
+                      "and append to the BENCH_core_loop.json "
                       "trajectory; 'bench compare' diffs trajectories")
     bench_parser.set_defaults(bench_command=None)
     bench_parser.add_argument("--benchmark", action="append", default=[],
                               choices=[hot_bench] + benchmark_names(),
                               help=f"workload (repeatable; default "
-                                   f"{hot_bench}, hotspot, lu, bc)")
+                                   f"{hot_bench}, hotspot, mcf, lu, bc)")
     bench_parser.add_argument("--arch", action="append", default=[],
                               choices=sorted(ARCHITECTURES),
                               help="architecture (repeatable; default all)")
@@ -749,8 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                help="allowed fractional throughput loss "
                                     "before a cell regresses "
                                     "(repeatable; per-tier defaults "
-                                    "reference=0.20 fast=0.25 "
-                                    "batch=0.30)")
+                                    "reference=0.20 fast=0.25)")
     bench_compare.add_argument("--tolerance-unpinned", type=float,
                                default=None, metavar="FRACTION",
                                help="with --against-baseline: fallback "
@@ -760,12 +728,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                     "candidate's regime; once "
                                     "runner-pinned, the per-tier "
                                     "defaults gate instead")
-    bench_compare.add_argument("--require-batch-floor", action="append",
-                               default=[], metavar="BENCH[=MIN]",
-                               help="require the candidate's batch tier "
-                                    "to be at least MIN times the fast "
-                                    "tier on BENCH (repeatable; MIN "
-                                    "defaults to 1.0)")
 
     profile_parser = sub.add_parser(
         "profile", help="cProfile one job and print the hottest "
@@ -779,19 +741,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 default=0.06)
     profile_parser.add_argument("--seed", type=int, default=13)
     profile_parser.add_argument("--nodes", type=int, default=1)
-    profile_parser.add_argument("--mode", default="batch",
-                                choices=execution_modes,
-                                help="execution tier to profile "
-                                     "(default batch)")
+    profile_parser.add_argument("--mode", default="fast",
+                                help="execution tier to profile: fast "
+                                     "(default) or reference")
     profile_parser.add_argument("--sort", default="cumulative",
                                 help="pstats sort key (default "
                                      "cumulative)")
     profile_parser.add_argument("--limit", type=int, default=25,
                                 help="rows to print (default 25)")
-    profile_parser.add_argument("--no-segments", action="store_true",
-                                help="skip the per-segment-kind census "
-                                     "(and its per-segment timing "
-                                     "overhead)")
 
     check_parser = sub.add_parser(
         "check", help="run the static invariant checker over src/repro")
@@ -850,7 +807,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "bench":
         return _cmd_bench(args, parser)
     if args.command == "profile":
-        return _cmd_profile(args)
+        return _cmd_profile(args, parser)
     if args.command == "check":
         return _cmd_check(args, parser)
     parser.error(f"unknown command {args.command!r}")

@@ -8,6 +8,11 @@
 * :mod:`repro.core.system` — builds a whole system (nodes + broker +
   fabric + FAM) and runs workload traces through it in global time
   order.
+* :mod:`repro.core.split` — the functional/timing split the default
+  run mode uses: each node's side simulated once per trace, the
+  FAM-side timing replayed per architecture.
+* :mod:`repro.core.refpath` — the seed per-event loop, kept as the
+  reference oracle.
 * :mod:`repro.core.results` — run metrics and comparison helpers.
 """
 

@@ -17,24 +17,24 @@ and stall the core only when the trace marks them dependent (pointer
 chasing) or the window fills — reproducing memory-level parallelism
 without cycle-accurate out-of-order simulation.
 
-In the run-first pipeline (PR 10, :mod:`repro.core.runplan`) this
-module is the *scalar-segment drain*: :meth:`Node.step_fast` consumes
-a length-1 segment — the degenerate case — and
-:meth:`Node.run_decoded` / :meth:`Node.run_events` drain longer scalar
-stretches.  Boxed :class:`TraceEvent` objects survive only in
-:meth:`Node.step` and the :mod:`repro.core.refpath` oracle.
+Production runs split this work in two (:mod:`repro.core.split`): a
+*functional pass* drives only the node side — TLB, node walker,
+caches, OS frame allocation — and records a compact per-event stream;
+a *timing replay* then drives the outstanding window, local DRAM and
+the architecture's FAM access procedure from that stream.  Node-side
+state never depends on the architecture, so one stream serves every
+architecture of a trace.  :meth:`Node.step` is the boxed per-event
+reference path behind the :mod:`repro.core.refpath` oracle.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.broker.broker import MemoryBroker
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config.system import PAGE_BYTES, SystemConfig
-from repro.core.hotpath import hot_path
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
@@ -49,6 +49,7 @@ from repro.workloads.trace import TraceEvent
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.architectures import Architecture
     from repro.core.results import NodeMetrics
+    from repro.core.split import NodeStream
     from repro.stu.stu import Stu
     from repro.workloads.trace import DecodedTrace
 
@@ -56,8 +57,6 @@ __all__ = ["Node"]
 
 #: Enum attribute lookups hoisted off the per-event path.
 _KIND_DATA = RequestKind.DATA
-_KIND_NODE_PTW = RequestKind.NODE_PTW
-_KIND_WRITEBACK = RequestKind.WRITEBACK
 
 
 class Node:
@@ -73,6 +72,7 @@ class Node:
         self.fabric = fabric
         self.fam = fam
         self.architecture = architecture
+        self.seed = seed
         self.name = f"node{node_id}"
 
         self.clock = Clock(config.core.frequency_ghz)
@@ -94,11 +94,21 @@ class Node:
         local_usable = config.local_memory.size_bytes - tcache_bytes
         self.fam_zone_base = config.local_memory.size_bytes
         self._local_frames_free = local_usable // PAGE_BYTES
+        #: Local frames this node started with (the stream-reuse
+        #: frame rule compares it, see repro.core.split).
+        self.local_frame_capacity = self._local_frames_free
+        #: Whether an allocation ever wanted a local frame and found
+        #: none free (allocations then depend on the exact capacity).
+        self.local_capped = False
         self._next_local_frame = 0
         self._next_fam_zone_page = self.fam_zone_base // PAGE_BYTES
 
         # --- OS layer -------------------------------------------------
         self._rng = random.Random(seed)
+        # FAM-zone grants are recorded here instead of issued while a
+        # functional pass runs (see repro.core.split): the pass must not
+        # touch the broker, whose grant order the replay reproduces.
+        self._pending_grants = None
         self.page_table = FourLevelPageTable(self._allocate_os_frame,
                                              name=f"{self.name}.pt")
         # Mirror of the page table's mapped VPNs for the per-event
@@ -125,11 +135,19 @@ class Node:
         self.core_time_ns = 0.0
         self.instructions = 0
         self.memory_events = 0
+        #: Whether any run has advanced this node (a stream memoized
+        #: for a fresh node must not be reused on a warm one).
+        self.has_run = False
+        # A stream this node replayed without simulating its node side
+        # (reused from the trace's memo): ``(decoded, stream)``.  Its
+        # own TLB, walker, caches and page table stay cold until
+        # :meth:`materialize` rebuilds them.
+        self._adopted: Optional[Tuple["DecodedTrace", "NodeStream"]] = None
 
         # --- hot-path shift memoization -------------------------------
         # Page/block geometry is fixed per run, so the per-event address
         # arithmetic reduces to shifts/ors over pre-decoded trace
-        # columns (see Trace.decoded / step_fast).
+        # columns (see Trace.decoded and repro.core.split).
         self._page_shift = config.tlb.page_bytes.bit_length() - 1
         self._block_shift = self.caches.block_shift
         self._frame_block_shift = self._page_shift - self._block_shift
@@ -147,15 +165,20 @@ class Node:
         system-page-table entry and the ACM.
         """
         want_local = self._rng.random() < self.config.allocation.local_fraction
-        if want_local and self._local_frames_free > 0:
-            frame = self._next_local_frame
-            self._next_local_frame += 1
-            self._local_frames_free -= 1
-            self.stats.incr("frames.local")
-            return frame * PAGE_BYTES
+        if want_local:
+            if self._local_frames_free > 0:
+                frame = self._next_local_frame
+                self._next_local_frame += 1
+                self._local_frames_free -= 1
+                self.stats.incr("frames.local")
+                return frame * PAGE_BYTES
+            self.local_capped = True
         node_page = self._next_fam_zone_page
         self._next_fam_zone_page += 1
-        self.broker.ensure_mapped(self.node_id, node_page)
+        if self._pending_grants is None:
+            self.broker.ensure_mapped(self.node_id, node_page)
+        else:
+            self._pending_grants.append(node_page)
         self.stats.incr("frames.fam")
         return node_page * PAGE_BYTES
 
@@ -226,10 +249,10 @@ class Node:
         """Advance the core over one trace event; returns core time.
 
         This is the boxed *reference* path (the seed per-event loop),
-        the only production-adjacent surface still consuming
-        :class:`TraceEvent` objects; production runs drain typed
-        segments through :meth:`step_fast`, and the hot-path
-        equivalence suite proves both produce bit-identical stats.
+        the only surface still consuming :class:`TraceEvent` objects;
+        production runs go through the functional/timing split
+        (:mod:`repro.core.split`), and the hot-path equivalence suite
+        proves both produce bit-identical stats.
         """
         gap, vaddr, is_write, dependent = event
         self.instructions += gap + 1
@@ -251,12 +274,13 @@ class Node:
         return self.core_time_ns
 
     # ------------------------------------------------------------------
-    # Allocation-free per-event path
+    # Memory path of the timing replay
     # ------------------------------------------------------------------
     def _memory_access_fast(self, npa: int, now: float, is_write: bool,
                             kind: RequestKind) -> float:
         """Slim :meth:`memory_access` routing FAM-zone traffic through
-        the architecture's allocation-free access procedure."""
+        the architecture's allocation-free access procedure (the
+        timing replay's LLC-miss and write-back path)."""
         if npa < self.fam_zone_base:
             self._stat_counters["mem.local"] += 1.0
             return self.dram.access(npa, now, is_write=is_write, kind=kind)
@@ -266,215 +290,6 @@ class Node:
         return self.architecture.fam_access_fast(self, npa, now, is_write,
                                                  kind)
 
-    @hot_path
-    def _charge_block(self, block: int, addr: int, now: float,
-                      is_write: bool, kind: RequestKind) -> float:
-        """Charge one block access (page-walk step) through the cache
-        hierarchy and, on a full miss, the memory path."""
-        level, latency, writebacks = self.caches.access_fast(block, is_write)
-        t = now + latency
-        for wb_addr in writebacks:
-            self._memory_access_fast(wb_addr, t, True, _KIND_WRITEBACK)
-        if level:
-            return t
-        return self._memory_access_fast(addr, t, is_write, kind)
-
-    def step_fast(self, gap: int, vpn: int, offset: int, blk: int,
-                  is_write: bool, dependent: bool) -> float:
-        """Advance the core over one pre-decoded trace event.
-
-        ``vpn`` / ``offset`` / ``blk`` are the event's virtual page
-        number, page offset and block-within-page, decomposed once per
-        trace by :meth:`repro.workloads.trace.Trace.decoded` instead of
-        re-derived per event.  No result boxing anywhere downstream:
-        the TLB, hierarchy, translator and STU are all probed through
-        their tuple/scalar entry points.
-        """
-        self.instructions += gap + 1
-        self.memory_events += 1
-        core_time = self.core_time_ns + gap * self._slot_ns
-        issue = self.window.admit(core_time)
-
-        # --- translate (TLB -> walker) --------------------------------
-        if vpn not in self._mapped_vpns:
-            self._handle_page_fault(vpn)
-        frame, tlb_level, tlb_latency, walk_steps = \
-            self.mmu.translate_fast(vpn)
-        t = issue + tlb_latency
-        if walk_steps:
-            shift = self._block_shift
-            for step in walk_steps:
-                addr = step[1]  # WalkStep.entry_addr
-                t = self._charge_block(addr >> shift, addr, t, False,
-                                       _KIND_NODE_PTW)
-
-        # --- reference the data block ---------------------------------
-        block = (frame << self._frame_block_shift) | blk
-        level, latency, writebacks = self.caches.access_fast(block, is_write)
-        t += latency
-        for wb_addr in writebacks:
-            self._memory_access_fast(wb_addr, t, True, _KIND_WRITEBACK)
-        if level:
-            completion = t
-        else:
-            npa = (frame << self._page_shift) | offset
-            completion = self._memory_access_fast(npa, t, is_write,
-                                                  _KIND_DATA)
-
-        # --- retire ---------------------------------------------------
-        if level:
-            self.core_time_ns = completion
-            return completion
-        self.window.record(completion)
-        if dependent and not is_write:
-            if completion < core_time:
-                completion = core_time
-            self.core_time_ns = completion
-            return completion
-        floor = issue + self._slot_ns
-        if floor < core_time:
-            floor = core_time
-        self.core_time_ns = floor
-        return floor
-
-    @hot_path
-    def run_decoded(self, decoded: "DecodedTrace", start: int = 0,
-                    stop: Optional[int] = None) -> float:
-        """Run a pre-decoded trace (or the window ``[start, stop)`` of
-        it) on this node via the inlined scalar loop — the drain for
-        multi-event scalar segments
-        (:class:`~repro.core.runplan.ScalarExecutor`).
-
-        Running a trace as any partition of windows is equivalent to
-        one full run: the loop carries no state of its own beyond the
-        node's.  Segment scheduling relies on this property; so does
-        the windowed-interleave test suite.
-        """
-        events = zip(decoded.gaps, decoded.vpns, decoded.offsets,
-                     decoded.blocks, decoded.writes, decoded.dependents)
-        if start or stop is not None:
-            events = islice(events, start, stop)
-        return self.run_events(events)
-
-    @hot_path
-    def run_events(self, events: "Iterable[Tuple]") -> float:
-        """Drain ``events`` — an iterable of pre-decoded
-        ``(gap, vpn, offset, block, is_write, dependent)`` tuples —
-        through the single-node fast loop.
-
-        This is :meth:`step_fast`'s body inlined with every per-event
-        attribute lookup hoisted into a local (multi-node runs
-        interleave :meth:`step_fast` calls in global time order
-        instead, where the heap dominates anyway).  Taking an iterator
-        lets the batch tier (:mod:`repro.core.batch`) feed each scalar
-        segment as a ``zip`` over sliced trace columns, so batched
-        events never materialize event tuples at all.  Counter
-        write-back happens in ``finally`` so a mid-trace access
-        violation still leaves instruction/event counts sane.
-        """
-        window = self.window
-        admit = window.admit
-        record = window.record
-        mmu = self.mmu
-        translate_l1_missed = mmu.translate_after_l1_miss
-        tlb_l1 = mmu.tlb.l1
-        tlb_l1_sets = tlb_l1._sets
-        tlb_l1_mask = tlb_l1._mask
-        tlb_l1_n_sets = tlb_l1.n_sets
-        caches = self.caches
-        hier_l1_missed = caches.access_after_l1_miss
-        data_l1 = caches._l1
-        data_l1_sets = data_l1._sets
-        data_l1_mask = data_l1._mask
-        data_l1_n_sets = data_l1.n_sets
-        data_l1_promote = data_l1._promote_on_hit
-        lat1 = caches._lat1
-        mapped_vpns = self._mapped_vpns
-        page_fault = self._handle_page_fault
-        charge_block = self._charge_block
-        memory_access = self._memory_access_fast
-        slot_ns = self._slot_ns
-        block_shift = self._block_shift
-        frame_block_shift = self._frame_block_shift
-        page_shift = self._page_shift
-        core_time = self.core_time_ns
-        instructions = self.instructions
-        translations = 0
-        tlb_l1_hits = 0
-        data_l1_hits = 0
-        consumed = 0
-        try:
-            for gap, vpn, offset, blk, is_write, dependent in events:
-                consumed += 1
-                instructions += gap + 1
-                core_time += gap * slot_ns
-                issue = admit(core_time)
-
-                # --- translate: L1 TLB probe inlined (always LRU) ----
-                if vpn not in mapped_vpns:
-                    page_fault(vpn)
-                translations += 1
-                lines = tlb_l1_sets[vpn & tlb_l1_mask if tlb_l1_mask >= 0
-                                    else vpn % tlb_l1_n_sets]
-                line = lines.get(vpn)
-                if line is not None:
-                    tlb_l1_hits += 1
-                    lines.move_to_end(vpn)
-                    frame = line[0]
-                    t = issue  # + 0.0 ns L1 latency
-                else:
-                    tlb_l1.misses += 1
-                    frame, _lvl, tlb_latency, walk_steps = \
-                        translate_l1_missed(vpn)
-                    t = issue + tlb_latency
-                    if walk_steps:
-                        for step in walk_steps:
-                            addr = step[1]  # WalkStep.entry_addr
-                            t = charge_block(addr >> block_shift, addr, t,
-                                             False, _KIND_NODE_PTW)
-
-                # --- data reference: L1 cache probe inlined ----------
-                block = (frame << frame_block_shift) | blk
-                lines = data_l1_sets[block & data_l1_mask
-                                     if data_l1_mask >= 0
-                                     else block % data_l1_n_sets]
-                line = lines.get(block)
-                if line is not None:
-                    data_l1_hits += 1
-                    if is_write:
-                        line[1] = True
-                    if data_l1_promote:
-                        lines.move_to_end(block)
-                    core_time = t + lat1
-                    continue
-                data_l1.misses += 1
-                level, latency, writebacks = hier_l1_missed(block, is_write)
-                t += latency
-                if writebacks:
-                    for wb_addr in writebacks:
-                        memory_access(wb_addr, t, True, _KIND_WRITEBACK)
-                if level:
-                    core_time = t
-                    continue
-                completion = memory_access((frame << page_shift) | offset,
-                                           t, is_write, _KIND_DATA)
-                record(completion)
-                if dependent and not is_write:
-                    if completion > core_time:
-                        core_time = completion
-                else:
-                    floor = issue + slot_ns
-                    if floor > core_time:
-                        core_time = floor
-        finally:
-            self.core_time_ns = core_time
-            self.instructions = instructions
-            self.memory_events += consumed
-            mmu.translations += translations
-            tlb_l1.hits += tlb_l1_hits
-            data_l1.hits += data_l1_hits
-        return core_time
-
     def drain(self) -> float:
         """Wait for all outstanding requests; returns final time."""
         self.core_time_ns = max(self.core_time_ns,
@@ -482,13 +297,22 @@ class Node:
         return self.core_time_ns
 
     # ------------------------------------------------------------------
-    def tag_store_probes(self) -> int:
-        """Total tag-store probes this node issued (telemetry): data
-        caches, both TLB levels, walk caches, the STU organization and
-        the in-DRAM translation cache."""
+    def node_side_probes(self) -> int:
+        """Tag-store probes of the node side: data caches, both TLB
+        levels and the node walker's walk caches."""
         probes = sum(cache.accesses for cache in self.caches.levels)
         probes += self.mmu.tlb.l1.accesses + self.mmu.tlb.l2.accesses
-        probes += self.mmu.walker.cache_probes
+        return probes + self.mmu.walker.cache_probes
+
+    def tag_store_probes(self) -> int:
+        """Total tag-store probes this node issued (telemetry): the
+        node side (:meth:`node_side_probes`, or the adopted stream's
+        count), the STU organization and walk caches, and the in-DRAM
+        translation cache."""
+        if self._adopted is not None:
+            probes = self._adopted[1].node_probes
+        else:
+            probes = self.node_side_probes()
         if self.stu is not None:
             if self.stu.organization is not None:
                 probes += self.stu.organization.probes
@@ -498,24 +322,68 @@ class Node:
         return probes
 
     # ------------------------------------------------------------------
+    # Stream adoption (functional/timing split)
+    # ------------------------------------------------------------------
+    def adopt(self, decoded: "DecodedTrace", stream: "NodeStream") -> None:
+        """Take ``stream``'s node-side outcome as this node's own.
+
+        The node then reports node-side metrics from the stream's
+        summary while its own structures stay cold.  Only a node that
+        has never run may adopt a stream.
+        """
+        self._adopted = (decoded, stream)
+
+    def materialize(self) -> None:
+        """Rebuild the node-side state an adopted stream stands for.
+
+        Re-runs the functional pass over the adopted trace on this
+        node's own structures, with its FAM-zone grants discarded (the
+        replay already issued them), so a later run continues from
+        exactly the state the reference per-event loop would have
+        left.
+        """
+        if self._adopted is None:
+            return
+        from repro.core.split import functional_pass  # avoid cycle
+
+        decoded, _stream = self._adopted
+        self._adopted = None
+        functional_pass(self, decoded)
+
+    def _counter_snapshot(self) -> Dict[str, float]:
+        counters = self.stats.snapshot()
+        if self._adopted is not None:
+            for key, value in self._adopted[1].counters.items():
+                counters[key] = counters.get(key, 0.0) + value
+        return counters
+
+    # ------------------------------------------------------------------
     def metrics(self) -> "NodeMetrics":
         """Snapshot the node's run outcome."""
         from repro.core.results import NodeMetrics
 
         end = max(self.core_time_ns, self.window.latest_completion())
         cycles = self.clock.ns_to_cycles(end)
-        counters = self.stats.snapshot()
+        if self._adopted is not None:
+            stream = self._adopted[1]
+            llc_misses = stream.llc_misses
+            tlb_hit_rate = stream.tlb_hit_rate
+            node_walks = stream.node_walks
+        else:
+            llc_misses = self.caches.llc_miss_count()
+            tlb_hit_rate = self.mmu.tlb.hit_rate
+            node_walks = self.mmu.walks
         return NodeMetrics(
             node_id=self.node_id,
             instructions=self.instructions,
             memory_accesses=self.memory_events,
             cycles=cycles,
             runtime_ns=end,
-            llc_misses=self.caches.llc_miss_count(),
+            llc_misses=llc_misses,
             fam_data_accesses=int(self.stats.get("mem.fam_data")),
-            tlb_hit_rate=self.mmu.tlb.hit_rate,
-            node_walks=self.mmu.walks,
+            tlb_hit_rate=tlb_hit_rate,
+            node_walks=node_walks,
             translation_hit_rate=self.architecture.translation_hit_rate(self),
             acm_hit_rate=self.architecture.acm_hit_rate(self),
-            counters=counters,
+            counters=self._counter_snapshot(),
         )

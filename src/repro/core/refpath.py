@@ -1,7 +1,8 @@
 """The seed per-event simulation path, kept as a frozen reference.
 
-The production hot path (``Trace.decoded`` + ``Node.step_fast`` and
-the allocation-free probe entry points underneath it) replaced the
+The production hot path (``Trace.decoded`` + the functional/timing
+split of :mod:`repro.core.split` and the allocation-free probe entry
+points underneath it) replaced the
 seed implementation, which boxed every intermediate outcome into a
 dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
 ``TranslationOutcome`` per translation, ``HierarchyResult`` per cache

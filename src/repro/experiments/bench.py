@@ -1,33 +1,28 @@
 """Core-loop tier measurement: the machine-readable perf trajectory.
 
-One measurement pass runs the same traces through all three execution
-tiers — ``reference`` (the frozen seed loop), ``fast`` (the PR-2
-allocation-free scalar loop) and ``batch`` (the segment consumer of
-:mod:`repro.core.batch` over :mod:`repro.core.runplan` plans) — on
-fresh systems, checks the tiers bit-identical, and reports events/s
-per (benchmark, architecture, tier), with each non-reference row
-carrying its per-segment-kind census (how the plan layer classified
-the trace).  Both the pytest microbenchmark
-(``benchmarks/test_bench_core_loop.py``) and ``deact bench`` consume
-this module, and both *append* the result to the trajectory file
-``BENCH_core_loop.json`` (schema 2, provenance-stamped entries; see
-:mod:`repro.experiments.trajectory`) so successive PRs leave a
-comparable speed trail.
+One measurement pass runs the same traces through both execution
+tiers — ``reference`` (the frozen seed loop) and ``fast`` (the
+functional/timing split of :mod:`repro.core.split`) — on fresh
+systems, checks them bit-identical, and reports events/s per
+(benchmark, architecture, tier).  ``fast`` is timed *cold*: each
+sample drops the traces' memoized node streams first, so a cell
+measures one full ``deact run`` (functional pass plus replay), not a
+replay of a stream an earlier sample built.  Both the pytest
+microbenchmark (``benchmarks/test_bench_core_loop.py``) and
+``deact bench`` consume this module, and both *append* the result to
+the trajectory file ``BENCH_core_loop.json`` (schema 2,
+provenance-stamped entries; see :mod:`repro.experiments.trajectory`)
+so successive changes leave a comparable speed trail.
 
-The workload set:
+The default workload set:
 
-* ``hotspot`` — the catalog's L1-hit-dominated kernel (one hot page,
-  block-granular reuse, 20% writes): after ~64 compulsory misses
-  every access hits both L1 structures, which is the regime the batch
-  tier exists for — the 3x batch acceptance gate measures here.
-* ``hot-loop`` — a synthetic *hit-dominated* microworkload (sequential
-  sweep over an L1-resident footprint).  Hit-dominated but
-  warm-up-bound: its 512-block cold lap runs scalar and caps the
-  achievable batch-over-fast ratio near 2x, so it keeps a lower floor
-  and serves as the streaming-shaped trajectory point.
-* ``lu`` / ``bc`` — the PR-2 headline and secondary catalog workloads,
-  kept for tier-over-tier trajectory on miss-heavy traces (where the
-  batch tier's job is simply to not be slower than the scalar loop).
+* ``mcf`` / ``lu`` / ``bc`` — catalog workloads (pointer chasing,
+  miss-heavy), the cells that gate the fast tier in CI;
+* ``hotspot`` — the catalog's L1-hit-dominated microkernel (one hot
+  page, block-granular reuse);
+* ``hot-loop`` — a synthetic hit-dominated microworkload (sequential
+  sweep over an L1-resident footprint), a diagnostic for the on-chip
+  hit path.
 """
 
 from __future__ import annotations
@@ -46,18 +41,21 @@ from repro.experiments.runner import (
 )
 from repro.workloads.synthetic import PatternSpec, generate_trace
 
-__all__ = ["TIERS", "HOT_BENCH", "hot_loop_trace", "build_bench_traces",
+__all__ = ["TIERS", "HOT_BENCH", "DEFAULT_BENCHMARKS", "hot_loop_trace", "build_bench_traces",
            "measure_core_loop", "write_bench_json", "default_json_path"]
 
 #: Execution tiers measured, slowest first.
-TIERS = ("reference", "fast", "batch")
+TIERS = ("reference", "fast")
 
 #: Name of the synthetic hit-dominated workload (not a catalog entry).
 HOT_BENCH = "hot-loop"
 
+#: The ``deact bench`` workloads when none are named.
+DEFAULT_BENCHMARKS = (HOT_BENCH, "hotspot", "mcf", "lu", "bc")
+
 #: ``hot-loop`` geometry: 8 pages × 64 blocks = 512 blocks — exactly
 #: the Table II L1 capacity, so after the first lap the working set is
-#: L1-resident and every access is a provable hit.
+#: L1-resident and every access hits.
 _HOT_PAGES = 8
 
 _SCHEMA = 1
@@ -86,9 +84,9 @@ def build_bench_traces(benchmark: str, settings: RunSettings) -> List:
 
 
 #: Wall-clock floor per measured cell.  A best-of-3 estimate is fine
-#: for a 200 ms reference wall but hopeless for a 4 ms batch wall on a
-#: shared host, where a single scheduler preemption is a 50% error —
-#: exactly the cells the batch-over-fast gates read.  Short-wall cells
+#: for a 200 ms reference wall but hopeless for a 4 ms fast wall on a
+#: shared host, where a single scheduler preemption is a 50% error.
+#: Short-wall cells
 #: therefore keep repeating past ``repeats`` (up to
 #: :data:`MAX_REPEATS`) until this much total measurement has
 #: accumulated, equalizing noise rejection across cell scales.
@@ -104,10 +102,10 @@ def _measure_cell(runs: "Dict[str, Callable]", repeats: int
     """Interleaved best-of-N walls for every tier of one cell.
 
     Tiers are timed in rotating rounds rather than back-to-back
-    blocks: the batch-over-fast gates are *ratios*, and on a shared
-    host a sustained slow stretch (noisy neighbor, frequency dip)
-    that lands entirely inside one tier's block skews the ratio no
-    matter how many repeats that block took.  Rotation puts each
+    blocks: on a shared host a sustained slow stretch (noisy
+    neighbor, frequency dip) that lands entirely inside one tier's
+    block skews the tier-over-tier ratio no matter how many repeats
+    that block took.  Rotation puts each
     tier's samples in adjacent time windows, so host-condition drift
     cancels out of the ratio.  A tier leaves the rotation once it has
     both ``repeats`` samples and :data:`MIN_SAMPLE_S` of accumulated
@@ -129,7 +127,7 @@ def _measure_cell(runs: "Dict[str, Callable]", repeats: int
     # *per sample* is no better — a full collection returns arenas to
     # the OS, so the following sample pays thousands of page re-faults
     # inside its timed window, a cost that lands hardest on the
-    # shortest (batch) walls the ratio gates read.
+    # shortest (fast) walls.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -169,28 +167,12 @@ def measure_core_loop(settings: RunSettings,
     for benchmark in benchmarks:
         traces = build_bench_traces(benchmark, settings)
         for architecture in architectures:
-            # Per-segment-kind census of each tier's (deterministic)
-            # run plan, captured outside the timed wall: counting is
-            # always on in the executors, so reading it costs nothing,
-            # and per-segment *timing* stays off — walls must not pay
-            # two monotonic calls per segment.  Reference rows carry
-            # ``None`` (no plan layer).
-            censuses: Dict[str, Optional[Dict]] = {}
-
             def run(tier, architecture=architecture,
-                    benchmark=benchmark, traces=traces,
-                    censuses=censuses):
+                    benchmark=benchmark, traces=traces):
+                for trace in traces:
+                    trace.forget_streams()
                 system = FamSystem(config, architecture, seed=seed)
-                if tier == "reference":
-                    result = system.run(traces, benchmark=benchmark,
-                                        reference=True)
-                else:
-                    result = system.run(traces, benchmark=benchmark,
-                                        mode=tier)
-                stats = system.segment_stats
-                censuses[tier] = (stats.as_dict()
-                                  if stats is not None else None)
-                return result
+                return system.run(traces, benchmark=benchmark, mode=tier)
 
             walls, results = _measure_cell(
                 {tier: (lambda tier=tier: run(tier)) for tier in tiers},
@@ -207,7 +189,6 @@ def measure_core_loop(settings: RunSettings,
                     "wall_s": walls[tier],
                     "events_per_sec": settings.n_events / walls[tier],
                     "identical_to_first_tier": serialized == baseline,
-                    "segments": censuses.get(tier),
                 })
     return {
         "schema": _SCHEMA,
@@ -253,9 +234,6 @@ def _aggregate(rows: Sequence[Dict], benchmarks: Sequence[str],
         if "fast" in per_tier and "reference" in per_tier:
             entry["fast_speedup_vs_reference"] = (
                 per_tier["reference"] / per_tier["fast"])
-        if "batch" in per_tier and "fast" in per_tier:
-            entry["batch_speedup_vs_fast"] = (
-                per_tier["fast"] / per_tier["batch"])
         aggregates[benchmark] = entry
     return aggregates
 
@@ -314,8 +292,5 @@ def render_census(payload: Dict) -> str:
         if "fast_speedup_vs_reference" in aggregate:
             notes.append(f"fast/ref="
                          f"{aggregate['fast_speedup_vs_reference']:.2f}x")
-        if "batch_speedup_vs_fast" in aggregate:
-            notes.append(f"batch/fast="
-                         f"{aggregate['batch_speedup_vs_fast']:.2f}x")
         lines.append(f"  {benchmark}: {'  '.join(notes)}")
     return "\n".join(lines)

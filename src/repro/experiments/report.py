@@ -127,6 +127,10 @@ def render_telemetry(summary: Dict[str, float],
     lines.append(f"  tag-store probes   : "
                  f"{summary.get('tag_probes', 0.0):,.0f} "
                  f"({summary.get('probes_per_event', 0.0):.2f}/event)")
+    lines.append(f"  node streams       : "
+                 f"{summary.get('streams_built', 0.0):,.0f} built, "
+                 f"{summary.get('streams_reused', 0.0):,.0f} reused, "
+                 f"{summary.get('streams_refused', 0.0):,.0f} refused")
     return "\n".join(lines)
 
 

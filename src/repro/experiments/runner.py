@@ -145,12 +145,20 @@ def build_traces(benchmark: str, nodes: int, settings: RunSettings) -> List:
     ]
 
 
+#: Telemetry keys of :attr:`FamSystem.stream_counts`: node streams a
+#: job built with a functional pass, reused from a trace's memo, and
+#: refused to reuse because the frame rule failed.
+STREAM_TELEMETRY = {"built": "streams_built", "reused": "streams_reused",
+                    "refused": "streams_refused"}
+
+
 def _run_system(job: SweepJob, traces: Sequence) -> RunResult:
     """The single execution path shared by serial runs and workers.
 
     Attaches per-job telemetry (wall time, events/sec, tag-store probe
-    counts) to the result — measurement metadata, never compared (see
-    :class:`~repro.core.results.RunResult`).
+    counts, node streams built, reused and refused by the
+    functional/timing split) to the result — measurement metadata,
+    never compared (see :class:`~repro.core.results.RunResult`).
     """
     system = FamSystem(job.config, job.architecture,
                        seed=job.settings.seed * 31 + 5)
@@ -166,6 +174,8 @@ def _run_system(job: SweepJob, traces: Sequence) -> RunResult:
         "tag_probes": float(probes),
         "probes_per_event": probes / events if events else 0.0,
     }
+    for kind, count in system.stream_counts.items():
+        result.telemetry[STREAM_TELEMETRY[kind]] = float(count)
     return result
 
 
@@ -326,6 +336,8 @@ class ExperimentRunner:
         total_events = sum(t.get("events", 0.0) for t in telemetries)
         total_wall = sum(t.get("wall_s", 0.0) for t in telemetries)
         total_probes = sum(t.get("tag_probes", 0.0) for t in telemetries)
+        streams = {key: sum(t.get(key, 0.0) for t in telemetries)
+                   for key in STREAM_TELEMETRY.values()}
         return {
             "runs": float(runs),
             "runs_with_telemetry": float(len(telemetries)),
@@ -336,6 +348,7 @@ class ExperimentRunner:
             "tag_probes": total_probes,
             "probes_per_event": (total_probes / total_events
                                  if total_events else 0.0),
+            **streams,
         }
 
     # ------------------------------------------------------------------

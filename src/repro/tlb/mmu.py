@@ -80,9 +80,10 @@ class Mmu:
 
         Walks install the leaf translation into both TLB levels before
         returning, as hardware does.  This is the boxed (reference)
-        path; the per-event loop uses :meth:`translate_fast`, whose
-        accounting is pinned to this method by the hot-path
-        equivalence suite.
+        path; the functional pass (:mod:`repro.core.split`) uses the
+        allocation-free :meth:`translate_fast` accounting (through
+        :meth:`translate_after_l1_miss`), pinned to this method by the
+        hot-path equivalence suite.
         """
         self.translations += 1
         vpn = self.vpn_of(vaddr)
@@ -125,8 +126,8 @@ class Mmu:
     def translate_after_l1_miss(
             self, vpn: int) -> Tuple[int, int, float, Sequence[WalkStep]]:
         """:meth:`translate_fast` continuation for callers that probed
-        (and counted) the L1 TLB themselves — the fully inlined
-        single-node loop.  ``translations`` and the L1 hit/miss census
+        (and counted) the L1 TLB themselves — the functional pass of
+        :mod:`repro.core.split`.  ``translations`` and the L1 hit/miss census
         are the caller's responsibility; everything downstream (L2,
         walker, installs) is accounted here identically.
         """
@@ -140,19 +141,6 @@ class Mmu:
         walk = self.walker.walk(vpn)
         tlb.install(vpn, walk.frame)
         return walk.frame, 0, tlb._l2_latency_ns, walk.steps
-
-    def translate_hit_run(self, n_hits: int, vpns_by_last_touch) -> None:
-        """Batch-account a run of ``n_hits`` translations that all hit
-        the L1 TLB (the batch tier's pre-proved hit-runs).
-
-        Scalar accounting per event is ``translations += 1`` plus the
-        L1 probe's hit/recency effect; nothing else in the MMU is
-        touched on an L1 hit (no walker, no installs, no L2 probe), so
-        the batched form is an exact replay — see
-        :meth:`~repro.tlb.tlb.TwoLevelTlb.hit_run_l1`.
-        """
-        self.translations += n_hits
-        self.tlb.hit_run_l1(n_hits, vpns_by_last_touch)
 
     def shootdown(self, vpn: int) -> None:
         """Invalidate one page everywhere the MMU caches it."""

@@ -250,8 +250,8 @@ BENCHMARKS: Dict[str, BenchmarkProfile] = {
                         "paper): every access lands in one hot page "
                         "(random blocks plus exact-block reuse, 20% "
                         "writes), so after ~64 compulsory misses every "
-                        "event hits both L1 structures — the batch "
-                        "tier's headline regime in catalog form."),
+                        "event hits both L1 structures — a diagnostic "
+                        "for the on-chip hit path."),
     ]
 }
 

@@ -115,9 +115,8 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
         block — temporal locality for the translation structures while
         the data caches still miss.  ``"block"`` revisits the exact
         recent *address*, so the reuse stream hits in the L1 data
-        cache too — the regime where the batch tier's hit-run engine
-        does all the work (exercised by the ``hotspot`` catalog
-        preset).
+        cache too — an L1-hit-dominated regime (exercised by the
+        ``hotspot`` catalog preset).
     """
     if n_events <= 0:
         raise TraceError("trace needs at least one event")
@@ -204,8 +203,8 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
         # caches and never reach the translation structures, while
         # page-granular reuse gives the TLB/STU/ACM stream its
         # temporal locality while the cache hierarchy still misses.
-        # Block-granular reuse revisits the exact address — the
-        # L1-hit-dominated regime the batch tier is built for.
+        # Block-granular reuse revisits the exact address — an
+        # L1-hit-dominated regime.
         # Sequential resolution so reuse chains land on final values.
         indices = np.flatnonzero(reuse_mask)
         if reuse_granularity == "block":

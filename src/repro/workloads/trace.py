@@ -14,6 +14,11 @@ shifts/masks) instead of re-deriving them per event in Python, then
 materializes plain-int columns for the per-event loop (attribute
 access on NumPy scalars is an order of magnitude slower than list
 items, so the loop consumes lists).
+
+A trace also carries the memo of its node streams
+(:meth:`Trace.stream_memo`): the functional pass of
+:mod:`repro.core.split` runs once per node and node-side
+configuration, and every later run of the trace replays the stream.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ __all__ = ["TraceEvent", "Trace", "DecodedTrace", "DecodedArrays"]
 #: geometry, so a small LRU bound keeps long many-geometry sweeps from
 #: pinning every decode of every trace for the life of the process.
 DECODED_MEMO_CAP = 8
+
+#: Per-trace cap on memoized node streams (one entry per node id, node
+#: seed and node-side configuration; see :mod:`repro.core.split`).
+STREAM_MEMO_CAP = 8
 
 
 class DecodedTrace(NamedTuple):
@@ -58,9 +67,7 @@ class DecodedTrace(NamedTuple):
 
 class DecodedArrays(NamedTuple):
     """The same per-event columns as :class:`DecodedTrace`, kept as
-    NumPy arrays for the batch execution tier (:mod:`repro.core.batch`),
-    which classifies and charges whole hit-runs with array arithmetic
-    instead of consuming one Python scalar per event."""
+    NumPy arrays (the whole-array decode the list view derives from)."""
 
     gaps: np.ndarray        # int64
     vpns: np.ndarray        # int64
@@ -145,6 +152,22 @@ class Trace:
             self._decoded_cache = cache
         return cache
 
+    def stream_memo(self) -> BoundedMemo:
+        """The memo of this trace's node streams
+        (:mod:`repro.core.split`), LRU-bounded to ``STREAM_MEMO_CAP``
+        keys.  Entries are pure functions of the trace and their key,
+        so eviction only costs a functional pass."""
+        memo = self.__dict__.get("_stream_memo")
+        if memo is None:
+            memo = BoundedMemo(STREAM_MEMO_CAP)
+            self._stream_memo = memo
+        return memo
+
+    def forget_streams(self) -> None:
+        """Drop the memoized node streams (the next run of this trace
+        simulates its node side again)."""
+        self.__dict__.pop("_stream_memo", None)
+
     @staticmethod
     def _check_geometry(page_bytes: int, block_bytes: int) -> None:
         if page_bytes <= 0 or page_bytes & (page_bytes - 1):
@@ -184,11 +207,9 @@ class Trace:
                        block_bytes: int = 64) -> DecodedArrays:
         """The decoded columns as NumPy arrays (cached per geometry).
 
-        This is the batch tier's view of the trace: the run scanner in
-        :mod:`repro.core.batch` classifies hit-runs with whole-array
-        comparisons over these columns.  Shares the bounded per-trace
-        memo with :meth:`decoded` (the list view is derived from this
-        one, so asking for both costs one decode).
+        Shares the bounded per-trace memo with :meth:`decoded` (the
+        list view is derived from this one, so asking for both costs
+        one decode).
         """
         self._check_geometry(page_bytes, block_bytes)
         cache = self._decode_memo()

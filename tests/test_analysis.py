@@ -129,26 +129,14 @@ class TestPar001:
         report = check_fixture(["PAR001"], "par001", "bad")
         messages = " | ".join(f.message for f in fired(report, "PAR001"))
         assert "frobnicate_fast" in messages      # orphan probe
-        assert "DEFAULT_EXECUTION_MODE" in messages
-        assert "execution_modes" in messages      # CLI tuple drift
         assert "hot_bench" in messages            # CLI literal drift
         assert "Node.metrics()" in messages       # constructor drift
         assert "_result_to_dict" in messages      # serializer drift
-        assert "_handle_bogus" in messages        # orphan segment handler
-        assert "'extension' has no _handle_extension()" in messages
-        assert "_handle_hit_run() never calls" in messages
-        assert len(fired(report, "PAR001")) == 9
+        assert len(fired(report, "PAR001")) == 4
 
     def test_paired_probe_not_flagged(self):
         report = check_fixture(["PAR001"], "par001", "bad")
         assert all("lookup_fast" not in f.message
-                   for f in fired(report, "PAR001"))
-
-    def test_matched_segment_handler_not_flagged(self):
-        # _handle_scalar reaches step_fast (token "step" pairs with
-        # reference_step) and names a declared kind: silent.
-        report = check_fixture(["PAR001"], "par001", "bad")
-        assert all("_handle_scalar" not in f.message
                    for f in fired(report, "PAR001"))
 
     def test_good_tree_is_silent(self):
@@ -406,10 +394,10 @@ class TestRepoTreeIsClean:
 
     def test_hot_surface_is_marked(self):
         from repro.cache.hierarchy import CacheHierarchy
-        from repro.core.node import Node
+        from repro.core import split
         from repro.tlb.mmu import Mmu
 
-        for func in (Node.run_events, Node.run_decoded,
-                     Node._charge_block, Mmu.translate_after_l1_miss,
+        for func in (split._functional_loop, split.replay,
+                     Mmu.translate_after_l1_miss,
                      CacheHierarchy.access_after_l1_miss):
             assert is_hot_path(func), func

@@ -1,29 +1,28 @@
-"""Unit and property tests for the batch execution tier.
+"""Unit and property tests for the fast tier's engine.
 
-The full-system bit-identity proof lives in
-``tests/test_hot_path_equivalence.py``; this module pins the batch
-tier's building blocks in isolation — the exact-rounding clock
-charge, the batched recency replay per replacement policy, the
-membership stamps and delta journal the tag-store mirrors rely on,
-the refill-extension scanner, the policy gate — and the windowed
-batch/scalar interleave property: running a trace as any alternation
-of batch and scalar windows leaves every counter and result
-bit-identical to the seed reference path.
+The fast tier is the functional/timing split (:mod:`repro.core.split`):
+a functional pass drives the node side and records a stream, and a
+timing replay charges the FAM side from it.  The full-system
+bit-identity proof lives in ``tests/test_hot_path_equivalence.py`` and
+the reuse rules in ``tests/test_split.py``; this module pins the
+engine's building blocks against the seed reference path — the
+replay's exact-rounding clock charge, the node state a stream stands
+for when an adopting node materializes it, the reuse gate per
+node-side configuration and architecture, the L2-refill geometries —
+and the windowed interleave property: running a trace as any
+alternation of split windows and reference-loop windows leaves every
+counter and result bit-identical to the seed reference path.
 """
 
+import dataclasses
 import random
 
-import numpy as np
 import pytest
 
-from repro.cache.cache import SetAssociativeCache
-from repro.config.presets import default_config
-from repro.core.batch import (
-    BatchExecutor,
-    batch_supported,
-    charge_clock_run,
-    last_touch_order,
-)
+from repro.config.presets import default_config, with_nodes
+from repro.config.system import KIB, MIB
+from repro.core import split
+from repro.core.refpath import reference_step
 from repro.core.results import RunResult
 from repro.core.system import FamSystem
 from repro.experiments.bench import hot_loop_trace
@@ -32,167 +31,207 @@ from repro.experiments.runner import (
     _result_to_dict,
     build_traces,
 )
+from repro.workloads.trace import Trace
 
 SETTINGS = RunSettings(n_events=2000, footprint_scale=0.01, seed=5)
+SEED = SETTINGS.seed * 31 + 5
+#: Stream code of an event served by the L1 TLB and the L1 data cache.
+L1_HIT = 1 | 1 << split.DATA_SHIFT
+
+
+def _flat_trace(vaddrs, gaps=None, writes=None):
+    n = len(vaddrs)
+    return Trace("ext-kernel", list(gaps) if gaps else [0] * n, vaddrs,
+                 list(writes) if writes else [False] * n, [False] * n)
+
+
+def _policy_config(policy):
+    config = default_config()
+    return config.replace(
+        l1=dataclasses.replace(config.l1, replacement=policy),
+        l2=dataclasses.replace(config.l2, replacement=policy),
+        l3=dataclasses.replace(config.l3, replacement=policy))
+
+
+def _tag_stores(node):
+    """Every node-side tag store: both TLB levels, the data caches and
+    the node walker's walk caches."""
+    return ([node.mmu.tlb.l1, node.mmu.tlb.l2] + list(node.caches.levels)
+            + [level.cache for level in node.mmu.walker._levels])
+
+
+def _assemble(system, benchmark):
+    """The RunResult ``FamSystem.run`` would build for ``system``."""
+    return RunResult(
+        architecture=system.architecture.key, benchmark=benchmark,
+        nodes=[node.metrics() for node in system.nodes],
+        fam_counters=system.fam.stats.snapshot(),
+        fabric_counters=system.fabric.stats.snapshot())
+
+
+def _replay_stepwise(node, trace):
+    """Functional pass over ``trace``, then a primed replay that has
+    charged exactly the first event; returns the generator."""
+    decoded = trace.decoded()
+    stream = split.functional_pass(node, decoded)
+    generator = split.replay(node, decoded, stream)
+    next(generator)
+    generator.send((float("-inf"), False))
+    return stream, generator
 
 
 # ----------------------------------------------------------------------
-# Clock charge: bit-identical accumulation
+# Clock charge: bit-identical accumulation in the replay
 # ----------------------------------------------------------------------
 class TestChargeClockRun:
+    """The float-order rule: the replay adds each event's issue gap and
+    latency one at a time, exactly as a scalar loop would."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_accumulation_bitwise(self, seed):
         rng = random.Random(seed)
-        start = rng.random() * 1e9
-        gaps = [rng.randrange(0, 400) for _ in range(rng.randrange(1, 3000))]
-        slot_ns = 0.0625 / rng.randrange(1, 9)
-        lat1 = rng.choice((2.0, 1.5, 3.25))
-        expected = start
-        for gap in gaps:
+        n = rng.randrange(2, 3000)
+        gaps = [rng.randrange(0, 400) for _ in range(n)]
+        config = default_config()
+        config = config.replace(
+            core=dataclasses.replace(config.core,
+                                     issue_width=rng.randrange(1, 9)),
+            l1=dataclasses.replace(config.l1,
+                                   latency_ns=rng.choice((2.0, 1.5, 3.25))))
+        # One block: a cold miss, then L1 hits only.
+        trace = _flat_trace([0x1000_0040] * n, gaps=gaps)
+        node = FamSystem(config, "deact-n", seed=seed).nodes[0]
+        stream, generator = _replay_stepwise(node, trace)
+        assert set(stream.codes[1:]) == {L1_HIT}
+        slot_ns = node._slot_ns
+        lat1 = config.l1.latency_ns
+        expected = node.core_time_ns
+        for gap in gaps[1:]:
             expected = expected + gap * slot_ns
             expected = expected + lat1
-        gaps_ns = np.asarray(gaps, dtype=np.int64) * slot_ns
-        got = charge_clock_run(start, gaps_ns, lat1)
-        assert got == expected  # bit-identical, not approx
+        with pytest.raises(StopIteration):
+            generator.send((float("inf"), True))
+        assert node.core_time_ns == expected  # bit-identical, not approx
+        oracle = FamSystem(config, "deact-n", seed=seed)
+        oracle.run([trace], reference=True)
+        # The reference run ends with a drain (the cold miss may still
+        # be outstanding).
+        assert oracle.nodes[0].core_time_ns == node.drain()
 
     def test_single_event(self):
-        got = charge_clock_run(10.0, np.array([3]) * 0.5, 2.0)
-        assert got == (10.0 + 3 * 0.5) + 2.0
+        trace = _flat_trace([0x1000_0040] * 2, gaps=[0, 3])
+        node = FamSystem(default_config(), "deact-n", seed=1).nodes[0]
+        _stream, generator = _replay_stepwise(node, trace)
+        start = node.core_time_ns
+        with pytest.raises(StopIteration):
+            generator.send((float("inf"), True))
+        assert node.core_time_ns == (start + 3 * node._slot_ns) + \
+            default_config().l1.latency_ns
 
 
 # ----------------------------------------------------------------------
-# Last-touch ordering and batched recency replay
+# Materialized node state equals per-event state
 # ----------------------------------------------------------------------
 class TestBatchedRecency:
-    def test_last_touch_order(self):
-        keys = np.array([5, 3, 5, 9, 3, 7], dtype=np.int64)
-        # Last occurrences: 5@2, 9@3, 3@4, 7@5.
-        assert last_touch_order(keys) == [5, 9, 3, 7]
-
-    def test_last_touch_order_single_key(self):
-        assert last_touch_order(np.array([4, 4, 4], dtype=np.int64)) == [4]
+    """A node that adopted a memoized stream keeps its structures cold;
+    :meth:`~repro.core.node.Node.materialize` rebuilds them.  The
+    rebuilt contents, recency order, dirty bits, counters and RNG
+    state must equal what per-event reference probes leave."""
 
     @pytest.mark.parametrize("policy", ("lru", "fifo", "random"))
     @pytest.mark.parametrize("seed", range(3))
     def test_touch_run_equals_per_event_hits(self, policy, seed):
-        """Random resident working sets, random hit sequences: batched
-        replay must leave contents, order and counters identical to
-        per-event ``get_line`` probes."""
-        rng = random.Random(100 * seed + hash(policy) % 17)
-        scalar = SetAssociativeCache("s", 4, 4, replacement=policy,
-                                     seed=seed)
-        batched = SetAssociativeCache("b", 4, 4, replacement=policy,
-                                      seed=seed)
-        per_set = {index: 0 for index in range(4)}
-        resident = []
-        for key in rng.sample(range(64), 40):
-            if per_set[key % 4] < 4:       # keep every pick resident
-                per_set[key % 4] += 1
-                resident.append(key)
-            if len(resident) == 12:
-                break
-        for key in resident:
-            scalar.fill_line(key, key * 2)
-            batched.fill_line(key, key * 2)
-        run = [rng.choice(resident) for _ in range(50)]
-        for key in run:
-            assert scalar.get_line(key) is not None
-        batched.touch_run(len(run),
-                          last_touch_order(np.asarray(run, dtype=np.int64)))
-        assert scalar._sets == batched._sets  # same order per set
-        assert (scalar.hits, scalar.misses) == (batched.hits,
-                                                batched.misses)
-        # RNG untouched by hits under every policy.
-        assert scalar._rng.getstate() == batched._rng.getstate()
+        bench = ("bc", "mcf", "canl")[seed]
+        settings = RunSettings(n_events=1500, footprint_scale=0.01,
+                               seed=seed + 2)
+        config = _policy_config(policy)
+        traces = build_traces(bench, 1, settings)
+        FamSystem(config, "e-fam", seed=SEED).run(traces)
+        adopter = FamSystem(config, "i-fam", seed=SEED)
+        adopter.run(traces)
+        assert adopter.stream_counts["reused"] == 1
+        node = adopter.nodes[0]
+        assert node.mmu.translations == 0     # still cold
+        node.materialize()
+        oracle = FamSystem(config, "i-fam", seed=SEED)
+        oracle.run(build_traces(bench, 1, settings), reference=True)
+        ref_node = oracle.nodes[0]
+        for store, ref_store in zip(_tag_stores(node),
+                                    _tag_stores(ref_node)):
+            assert store._sets == ref_store._sets  # same order per set
+            assert (store.hits, store.misses) == (ref_store.hits,
+                                                  ref_store.misses)
+            assert store._rng.getstate() == ref_store._rng.getstate()
+        assert node._mapped_vpns == ref_node._mapped_vpns
+        assert node.node_side_probes() == ref_node.node_side_probes()
 
     def test_hierarchy_l1_hit_run_sets_dirty_bits(self):
-        config = default_config()
-        from repro.cache.hierarchy import CacheHierarchy
-
-        scalar = CacheHierarchy(config.l1, config.l2, config.l3, "s")
-        batched = CacheHierarchy(config.l1, config.l2, config.l3, "b")
-        blocks = [3, 9, 3, 17, 9]
-        writes = [False, True, True, False, False]
-        for hierarchy in (scalar, batched):
-            for block in set(blocks):
-                hierarchy._l1.fill_line(block, True)
-        for block, write in zip(blocks, writes):
-            assert scalar.access_fast(block, write)[0] == 1
-        written = sorted({b for b, w in zip(blocks, writes) if w})
-        batched.l1_hit_run(
-            len(blocks),
-            last_touch_order(np.asarray(blocks, dtype=np.int64)),
-            written)
-        assert scalar._l1._sets == batched._l1._sets
-        assert scalar._l1.hits == batched._l1.hits
+        rng = random.Random(4)
+        blocks = [0x2000_0000 + 64 * rng.randrange(24) for _ in range(600)]
+        writes = [rng.random() < 0.3 for _ in blocks]
+        trace = _flat_trace(blocks, writes=writes)
+        FamSystem(default_config(), "e-fam", seed=5).run([trace])
+        adopter = FamSystem(default_config(), "deact-w", seed=5)
+        adopter.run([trace])
+        assert adopter.stream_counts["reused"] == 1
+        node = adopter.nodes[0]
+        node.materialize()
+        oracle = FamSystem(default_config(), "deact-w", seed=5)
+        oracle.run([_flat_trace(blocks, writes=writes)], reference=True)
+        l1 = node.caches._l1
+        ref_l1 = oracle.nodes[0].caches._l1
+        assert any(line[1] for lines in l1._sets for line in lines.values())
+        assert l1._sets == ref_l1._sets
+        assert l1.hits == ref_l1.hits
 
 
 # ----------------------------------------------------------------------
-# Membership stamps (mirror staleness detection)
-# ----------------------------------------------------------------------
-class TestMembershipStamp:
-    def test_hits_and_replace_in_place_do_not_bump(self):
-        cache = SetAssociativeCache("c", 2, 2)
-        cache.fill_line(1, "a")
-        stamp = cache.membership_stamp
-        cache.get_line(1)
-        cache.get_line(99)           # miss, no state change
-        cache.fill_line(1, "b")      # replace in place
-        cache.touch_run(3, [1])
-        assert cache.membership_stamp == stamp
-
-    def test_membership_changes_bump(self):
-        cache = SetAssociativeCache("c", 2, 1)
-        stamp = cache.membership_stamp
-        cache.fill_line(1, "a")      # new key
-        assert cache.membership_stamp > stamp
-        stamp = cache.membership_stamp
-        cache.fill_line(3, "b")      # same set, evicts key 1
-        assert cache.membership_stamp > stamp
-        stamp = cache.membership_stamp
-        assert cache.invalidate(3)
-        assert cache.membership_stamp > stamp
-        stamp = cache.membership_stamp
-        assert not cache.invalidate(3)  # absent: no membership change
-        assert cache.membership_stamp == stamp
-        cache.fill_line(5, "c")
-        stamp = cache.membership_stamp
-        cache.clear()
-        assert cache.membership_stamp > stamp
-
-
-# ----------------------------------------------------------------------
-# Policy/architecture gate
+# Reuse gate per node-side configuration and architecture
 # ----------------------------------------------------------------------
 class TestBatchGate:
     def test_default_config_is_batch_capable(self):
-        system = FamSystem(default_config(), "deact-n", seed=1)
-        assert batch_supported(system.nodes[0])
-        assert system.batch_capable()
+        # Under the default config every architecture's node shares one
+        # stream key, and a stream built on any of them fits the others.
+        traces = build_traces("mg", 1, SETTINGS)
+        nodes = [FamSystem(default_config(), arch, seed=SEED).nodes[0]
+                 for arch in ("e-fam", "i-fam", "deact-w", "deact-n")]
+        assert len({split.stream_key(node) for node in nodes}) == 1
+        for producer in nodes:
+            stream = split.functional_pass(
+                FamSystem(default_config(), producer.architecture.key,
+                          seed=SEED).nodes[0], traces[0].decoded())
+            assert all(stream.fits(node) for node in nodes)
 
     def test_unknown_policy_bails_out_to_fast(self):
+        # A node-side change (here the data-cache replacement policy)
+        # must miss the memo: the run simulates its own node side.
         traces = build_traces("mg", 1, SETTINGS)
-        seed = SETTINGS.seed * 31 + 5
-        reference = FamSystem(default_config(), "i-fam", seed=seed).run(
-            traces, benchmark="mg", reference=True)
-        system = FamSystem(default_config(), "i-fam", seed=seed)
-        # Simulate a future replacement policy outside the proved
-        # envelope: the gate must reroute batch mode to the scalar
-        # fast tier, not charge unproved runs.
-        system.nodes[0].caches._l1.policy_name = "plru"
-        assert not system.batch_capable()
-        result = system.run(traces, benchmark="mg", mode="batch")
+        FamSystem(default_config(), "i-fam", seed=SEED).run(traces)
+        config = _policy_config("fifo")
+        system = FamSystem(config, "i-fam", seed=SEED)
+        result = system.run(traces, benchmark="mg")
+        assert system.stream_counts == {"built": 1, "reused": 0,
+                                        "refused": 0}
+        reference = FamSystem(config, "i-fam", seed=SEED).run(
+            build_traces("mg", 1, SETTINGS), benchmark="mg",
+            reference=True)
         assert _result_to_dict(result) == _result_to_dict(reference)
 
     def test_architecture_opt_out_bails_out_to_fast(self):
-        traces = build_traces("mg", 1, SETTINGS)
-        seed = SETTINGS.seed * 31 + 5
-        reference = FamSystem(default_config(), "e-fam", seed=seed).run(
-            traces, benchmark="mg", reference=True)
-        system = FamSystem(default_config(), "e-fam", seed=seed)
-        system.architecture.supports_batch_runs = False
-        assert not system.batch_capable()
-        result = system.run(traces, benchmark="mg", mode="batch")
+        # An architecture whose translation-cache carve-out changes the
+        # node's frame allocations refuses the stream and builds its own.
+        config = default_config()
+        config = config.replace(local_memory=dataclasses.replace(
+            config.local_memory, size_bytes=1 * MIB + 64 * KIB))
+        traces = build_traces("mcf", 1, SETTINGS)
+        FamSystem(config, "e-fam", seed=SEED).run(traces)
+        system = FamSystem(config, "deact-n", seed=SEED)
+        result = system.run(traces, benchmark="mcf")
+        assert system.stream_counts == {"built": 1, "reused": 0,
+                                        "refused": 1}
+        reference = FamSystem(config, "deact-n", seed=SEED).run(
+            build_traces("mcf", 1, SETTINGS), benchmark="mcf",
+            reference=True)
         assert _result_to_dict(result) == _result_to_dict(reference)
 
     def test_unknown_mode_rejected(self):
@@ -205,36 +244,37 @@ class TestBatchGate:
 
 
 # ----------------------------------------------------------------------
-# Windowed batch/scalar interleave (the mid-trace property)
+# Windowed split/reference interleave (the mid-trace property)
 # ----------------------------------------------------------------------
 def _drive_windowed(system, trace, widths, benchmark):
-    """Run ``trace`` on a single-node system as alternating
-    batch-tier / scalar-tier windows of the given widths (cycled),
-    then assemble the same RunResult ``FamSystem.run`` would."""
+    """Run ``trace`` on a single-node system as alternating split
+    windows (functional pass plus timing replay of the window) and
+    reference-loop windows of the given widths (cycled), then assemble
+    the same RunResult ``FamSystem.run`` would.  Returns the result
+    and the number of events the split windows replayed."""
     node = system.nodes[0]
-    decoded = trace.decoded(system.config.page_bytes,
-                            system.config.block_bytes)
-    arrays = trace.decoded_arrays(system.config.page_bytes,
-                                  system.config.block_bytes)
-    executor = BatchExecutor(node, decoded, arrays)
     cursor = 0
     index = 0
-    n = len(decoded)
+    replayed = 0
+    n = len(trace)
     while cursor < n:
         width = widths[index % len(widths)]
         stop = min(cursor + width, n)
         if index % 2 == 0:
-            executor.run(cursor, stop)
+            decoded = trace.slice(cursor, stop).decoded(
+                system.config.page_bytes, system.config.block_bytes)
+            stream = split.functional_pass(node, decoded)
+            generator = split.replay(node, decoded, stream)
+            next(generator)
+            split.run_replays([node], [generator])
+            replayed += len(stream)
         else:
-            node.run_decoded(decoded, cursor, stop)
+            for position in range(cursor, stop):
+                reference_step(node, trace[position])
         cursor = stop
         index += 1
     node.drain()
-    return RunResult(
-        architecture=system.architecture.key, benchmark=benchmark,
-        nodes=[node.metrics()],
-        fam_counters=system.fam.stats.snapshot(),
-        fabric_counters=system.fabric.stats.snapshot())
+    return _assemble(system, benchmark), replayed
 
 
 class TestWindowedInterleave:
@@ -246,7 +286,7 @@ class TestWindowedInterleave:
         reference = FamSystem(default_config(), "deact-w", seed=seed).run(
             [trace], benchmark="hot-loop", reference=True)
         system = FamSystem(default_config(), "deact-w", seed=seed)
-        windowed = _drive_windowed(system, trace, widths, "hot-loop")
+        windowed, _ = _drive_windowed(system, trace, widths, "hot-loop")
         assert _result_to_dict(windowed) == _result_to_dict(reference)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -254,16 +294,14 @@ class TestWindowedInterleave:
         rng = random.Random(seed)
         widths = tuple(rng.randrange(1, 400) for _ in range(8))
         trace = build_traces("bc", 1, SETTINGS)[0]
-        system_seed = SETTINGS.seed * 31 + 5
-        ref_system = FamSystem(default_config(), "deact-n",
-                               seed=system_seed)
+        ref_system = FamSystem(default_config(), "deact-n", seed=SEED)
         reference = ref_system.run([trace], benchmark="bc",
                                    reference=True)
-        system = FamSystem(default_config(), "deact-n", seed=system_seed)
-        windowed = _drive_windowed(system, trace, widths, "bc")
+        system = FamSystem(default_config(), "deact-n", seed=SEED)
+        windowed, _ = _drive_windowed(system, trace, widths, "bc")
         assert _result_to_dict(windowed) == _result_to_dict(reference)
         # Raw telemetry counters, not just the serialized result: the
-        # batch tier must keep every probe census in lockstep.
+        # functional pass must keep every probe census in lockstep.
         ref_node = ref_system.nodes[0]
         node = system.nodes[0]
         assert node.mmu.tlb.l1.hits == ref_node.mmu.tlb.l1.hits
@@ -276,145 +314,63 @@ class TestWindowedInterleave:
         assert node.tag_store_probes() == ref_node.tag_store_probes()
 
     def test_batch_tier_actually_batches(self):
-        """Guard against a vacuous proof: on the hit-dominated trace
-        the batch tier must charge most events through runs, not fall
-        back to scalar throughout."""
-        charged = []
-
-        class SpyExecutor(BatchExecutor):
-            def _handle_hit_run(self, cursor, k, pblocks):
-                charged.append(k)
-                super()._handle_hit_run(cursor, k, pblocks)
-
+        """Guard against a vacuous proof: the windowed drive really
+        replays most events from streams, and a replay touches no
+        node-side tag store."""
         trace = hot_loop_trace(4000, seed=3)
         system = FamSystem(default_config(), "e-fam", seed=5)
-        node = system.nodes[0]
-        decoded = trace.decoded(4096, 64)
-        arrays = trace.decoded_arrays(4096, 64)
-        SpyExecutor(node, decoded, arrays).run(0, len(decoded))
-        assert sum(charged) > len(decoded) // 2
-        assert max(charged) >= 256
+        _result, replayed = _drive_windowed(system, trace, (900, 100),
+                                            "hot-loop")
+        assert replayed > len(trace) // 2
+
+        node = FamSystem(default_config(), "e-fam", seed=5).nodes[0]
+        decoded = trace.decoded()
+        stream = split.functional_pass(node, decoded)
+        assert stream.codes.count(L1_HIT) > len(trace) // 2
+        probes = node.node_side_probes()
+        translations = node.mmu.translations
+        generator = split.replay(node, decoded, stream)
+        next(generator)
+        split.run_replays([node], [generator])
+        assert node.memory_events == len(trace)
+        assert node.node_side_probes() == probes
+        assert node.mmu.translations == translations
 
 
 # ----------------------------------------------------------------------
-# Delta-journal mirrors (incremental sync == from-scratch rebuild)
+# L2-refill geometries
 # ----------------------------------------------------------------------
-class TestDeltaJournalMirror:
-    """Property test: under random fill/invalidate/clear sequences —
-    including journal overflow from a deliberately tiny cap — a mirror
-    synced through :func:`_sync_mirror` stays bit-identical to one
-    rebuilt from scratch, for both the payload-tracking (TLB) and
-    key-only (data) mirror flavours."""
-
-    @pytest.mark.parametrize("policy", ("lru", "fifo", "random"))
-    @pytest.mark.parametrize("seed", range(4))
-    def test_mirror_matches_rebuild_under_random_ops(self, policy, seed):
-        from repro.core.runplan import (_Mirror, _rebuild_mirror,
-                                        _sync_mirror)
-
-        rng = random.Random(1000 * seed + len(policy))
-        store = SetAssociativeCache("s", 4, 2, replacement=policy,
-                                    seed=seed)
-        store.enable_journal(cap=24)  # tiny: force overflow rebuilds
-        valued = _Mirror(True)
-        keyed = _Mirror(False)
-
-        def check(mirror):
-            fresh = _Mirror(mirror.values is not None)
-            _rebuild_mirror(fresh, store)
-            assert mirror.keys.tolist() == fresh.keys.tolist()
-            if mirror.values is not None:
-                assert mirror.values.tolist() == fresh.values.tolist()
-
-        for _ in range(400):
-            op = rng.random()
-            key = rng.randrange(48)
-            if op < 0.55:
-                store.fill_line(key, key * 7 + seed)
-            elif op < 0.80:
-                store.invalidate(key)
-            elif op < 0.90:
-                store.get_line(key)
-            elif op < 0.97:
-                residue = key % 5
-                store.invalidate_where(lambda k, _v: k % 5 == residue)
-            else:
-                store.clear()
-            # Different sync cadences: the two mirrors trail the
-            # journal head by different amounts, so delta batches of
-            # many shapes (including empty and overflowed) occur.
-            if rng.random() < 0.35:
-                _sync_mirror(valued, store)
-                check(valued)
-            if rng.random() < 0.10:
-                _sync_mirror(keyed, store)
-                check(keyed)
-        _sync_mirror(valued, store)
-        _sync_mirror(keyed, store)
-        check(valued)
-        check(keyed)
-
-    def test_sync_without_changes_is_noop(self):
-        from repro.core.runplan import _Mirror, _sync_mirror
-
-        store = SetAssociativeCache("s", 2, 2)
-        store.enable_journal()
-        store.fill_line(3, "x")
-        mirror = _Mirror(False)
-        _sync_mirror(mirror, store)
-        keys_before = mirror.keys
-        store.get_line(3)            # recency only: not journaled
-        _sync_mirror(mirror, store)
-        assert mirror.keys is keys_before  # untouched, not rebuilt
+def _count_codes(streams, predicate):
+    return sum(1 for stream in streams for code in stream.codes
+               if predicate(code))
 
 
-# ----------------------------------------------------------------------
-# Refill-extended runs (scan across L2 hits under a mirror overlay)
-# ----------------------------------------------------------------------
-def _flat_trace(vaddrs):
-    from repro.workloads.trace import Trace
-
-    n = len(vaddrs)
-    return Trace("ext-kernel", [0] * n, vaddrs, [False] * n, [False] * n)
-
-
-def _run_with_plan_spy(trace, benchmark):
-    """Drive a fresh system's batch tier with a segment-inspecting
-    executor; returns ``(result_dict, n_ext_events)``."""
-    ext_events = []
-
-    class SpyExecutor(BatchExecutor):
-        def _handle_extension(self, pos):
-            ext_events.append(pos)
-            super()._handle_extension(pos)
-
-    system = FamSystem(default_config(), "e-fam", seed=5)
-    node = system.nodes[0]
-    decoded = trace.decoded(4096, 64)
-    arrays = trace.decoded_arrays(4096, 64)
-    SpyExecutor(node, decoded, arrays).run(0, len(decoded))
-    node.drain()
-    result = RunResult(
-        architecture=system.architecture.key, benchmark=benchmark,
-        nodes=[node.metrics()],
-        fam_counters=system.fam.stats.snapshot(),
-        fabric_counters=system.fabric.stats.snapshot())
-    return _result_to_dict(result), len(ext_events)
+def _tlb_overflow_pages():
+    """A hot page set that stays TLB-L1 resident and a warm set that
+    overflows L1 into the L2 TLB."""
+    probe = FamSystem(default_config(), "e-fam", seed=5).nodes[0]
+    tlb_l1 = probe.mmu.tlb.l1
+    t1_cap = tlb_l1.n_sets * tlb_l1.associativity
+    n_pages = t1_cap + t1_cap // 2
+    base = 0x3000_0000
+    # Stagger each page's single block so the data-L1 sets spread
+    # (page-aligned addresses would all collide into set 0 and the
+    # data side, not the TLB, would take the refills).
+    pages = [base + i * 4096 + (i * 64) % 4096 for i in range(n_pages)]
+    return pages[:t1_cap // 2], pages[t1_cap // 2:], probe
 
 
 class TestRefillExtendedRuns:
-    """Runs must continue across TLB-L2 and data-L2 hits (the overlay
-    replays the predicted L1 refill), and the extension events must be
-    charged bit-identically to the scalar replay."""
+    """Hit stretches broken by TLB-L2 and data-L2 refills: the stream
+    records the refill levels, and replaying them is bit-identical to
+    the reference path."""
 
     def test_data_l2_refills_extend_runs(self):
         # Hot blocks that fit L1 plus excursions to a small set of
         # page-aligned addresses.  Page-aligned physical blocks all
-        # map to data-L1 set 0 (``pblock % n_sets == 0`` whenever
-        # blocks-per-page is a multiple of ``n_sets``), so twice the
-        # associativity of them thrash that one L1 set while staying
-        # resident in the much larger L2: each excursion is a
-        # data-L2 hit mid-run.
+        # map to data-L1 set 0, so twice the associativity of them
+        # thrash that one L1 set while staying resident in the much
+        # larger L2: each excursion is a data-L2 hit mid-stretch.
         probe = FamSystem(default_config(), "e-fam", seed=5).nodes[0]
         l1 = probe.caches._l1
         l1_cap = l1.n_sets * l1.associativity
@@ -430,76 +386,60 @@ class TestRefillExtendedRuns:
         trace = _flat_trace(vaddrs)
         reference = FamSystem(default_config(), "e-fam", seed=5).run(
             [trace], benchmark="ext-kernel", reference=True)
-        batch, n_ext = _run_with_plan_spy(trace, "ext-kernel")
-        assert batch == _result_to_dict(reference)
-        assert n_ext > 50  # the envelope actually widened
+        system = FamSystem(default_config(), "e-fam", seed=5)
+        fast = system.run([trace], benchmark="ext-kernel")
+        assert _result_to_dict(fast) == _result_to_dict(reference)
+        (stream,) = trace.stream_memo().get(
+            split.stream_key(system.nodes[0]))
+        l2_hits = _count_codes(
+            [stream], lambda code: (code >> split.DATA_SHIFT) & 3 == 2)
+        assert l2_hits > 50  # the geometry really refills from L2
 
     def test_tlb_l2_refills_extend_runs(self):
-        # One block per page, with a hot page set that stays TLB-L1
-        # resident and a warm set that overflows L1 into the L2 TLB:
-        # data always hits L1 after warmup, while the occasional warm
-        # page costs a TLB-L2 refill mid-run.  Hot draws dominate so
-        # pure runs bank enough hits for the scanner to keep
-        # speculating extensions (the EXTENSION_PURE_RATIO guard).
-        probe = FamSystem(default_config(), "e-fam", seed=5).nodes[0]
-        tlb_l1 = probe.mmu.tlb.l1
-        tlb_l2 = probe.mmu.tlb.l2
-        t1_cap = tlb_l1.n_sets * tlb_l1.associativity
-        n_pages = t1_cap + t1_cap // 2
-        assert tlb_l2.n_sets * tlb_l2.associativity >= n_pages
-        l1 = probe.caches._l1
-        assert l1.n_sets * l1.associativity >= n_pages
+        hot, warm, probe = _tlb_overflow_pages()
+        assert (probe.mmu.tlb.l2.n_sets * probe.mmu.tlb.l2.associativity
+                >= len(hot) + len(warm))
         rng = random.Random(7)
-        base = 0x3000_0000
-        # Stagger each page's single block so the data-L1 sets spread
-        # (page-aligned addresses would all collide into set 0 and the
-        # data side, not the TLB, would end every run).
-        pages = [base + i * 4096 + (i * 64) % 4096
-                 for i in range(n_pages)]
-        hot, warm = pages[:t1_cap // 2], pages[t1_cap // 2:]
         vaddrs = [rng.choice(hot) if rng.random() < 0.92
                   else rng.choice(warm) for _ in range(6000)]
         trace = _flat_trace(vaddrs)
         reference = FamSystem(default_config(), "e-fam", seed=5).run(
             [trace], benchmark="ext-kernel", reference=True)
-        batch, n_ext = _run_with_plan_spy(trace, "ext-kernel")
-        assert batch == _result_to_dict(reference)
-        assert n_ext > 50
+        system = FamSystem(default_config(), "e-fam", seed=5)
+        fast = system.run([trace], benchmark="ext-kernel")
+        assert _result_to_dict(fast) == _result_to_dict(reference)
+        (stream,) = trace.stream_memo().get(
+            split.stream_key(system.nodes[0]))
+        assert _count_codes(
+            [stream], lambda code: code & split.TLB_MASK == 2) > 50
 
-    def test_tlb_l2_refills_extend_runs_multi_node(self, monkeypatch):
-        # The same hot/warm TLB-overflow geometry, but one trace per
-        # node through the heap-interleaved driver: a run collapsed
-        # on one node must not reorder any shared-state access of the
-        # others, including when the run contains speculated TLB-L2
-        # refill extensions.
-        from repro.config.presets import with_nodes
+    def test_tlb_l2_refills_extend_runs_multi_node(self):
+        # The same hot/warm TLB-overflow geometry, one trace per node
+        # through the interleaved replay driver: a node replaying a
+        # stretch must not reorder any shared-state access of the
+        # others, including around TLB-L2 refills.
+        hot, warm, _probe = _tlb_overflow_pages()
 
-        probe = FamSystem(default_config(), "e-fam", seed=5).nodes[0]
-        tlb_l1 = probe.mmu.tlb.l1
-        t1_cap = tlb_l1.n_sets * tlb_l1.associativity
-        n_pages = t1_cap + t1_cap // 2
-        base = 0x3000_0000
-        pages = [base + i * 4096 + (i * 64) % 4096
-                 for i in range(n_pages)]
-        hot, warm = pages[:t1_cap // 2], pages[t1_cap // 2:]
-        traces = []
-        for node_seed in (7, 8, 9):
-            rng = random.Random(node_seed)
-            traces.append(_flat_trace(
-                [rng.choice(hot) if rng.random() < 0.92
-                 else rng.choice(warm) for _ in range(3000)]))
-        ext_events = []
-        orig_handle_extension = BatchExecutor._handle_extension
+        def node_traces():
+            traces = []
+            for node_seed in (7, 8, 9):
+                rng = random.Random(node_seed)
+                traces.append(_flat_trace(
+                    [rng.choice(hot) if rng.random() < 0.92
+                     else rng.choice(warm) for _ in range(3000)]))
+            return traces
 
-        def spy(self, pos):
-            ext_events.append(pos)
-            orig_handle_extension(self, pos)
-
-        monkeypatch.setattr(BatchExecutor, "_handle_extension", spy)
         config = with_nodes(default_config(), 3)
         reference = FamSystem(config, "e-fam", seed=5).run(
-            traces, benchmark="ext-kernel", reference=True)
-        batch = FamSystem(config, "e-fam", seed=5).run(
-            traces, benchmark="ext-kernel", mode="batch")
-        assert _result_to_dict(batch) == _result_to_dict(reference)
-        assert len(ext_events) > 50
+            node_traces(), benchmark="ext-kernel", reference=True)
+        traces = node_traces()
+        system = FamSystem(config, "e-fam", seed=5)
+        fast = system.run(traces, benchmark="ext-kernel")
+        assert _result_to_dict(fast) == _result_to_dict(reference)
+        streams = [stream
+                   for node, trace in zip(system.nodes, traces)
+                   for stream in trace.stream_memo().get(
+                       split.stream_key(node))]
+        assert len(streams) == 3
+        assert _count_codes(
+            streams, lambda code: code & split.TLB_MASK == 2) > 50

@@ -1,15 +1,16 @@
 """The hot-path equivalence guarantee.
 
-Every production execution tier — the scalar fast path (vectorized
-``Trace.decoded`` front-end plus the allocation-free probe entry
-points behind ``Node.step_fast`` / ``Node.run_decoded``) **and** the
-batch tier (:mod:`repro.core.batch`, which charges proved hit-runs
-with array arithmetic) — must produce **bit-identical** run stats to
-the seed implementation preserved in :mod:`repro.core.refpath`.  This
-suite pins that down across every catalog benchmark, every
-replacement policy, every architecture, and the multi-node
-interleaved driver — comparing full serialized result dicts, so a
-single drifting counter anywhere in the system fails loudly.
+The production path — the vectorized ``Trace.decoded`` front-end and
+the functional/timing split of :mod:`repro.core.split` over the
+allocation-free probe entry points — must produce **bit-identical**
+run stats to the seed implementation preserved in
+:mod:`repro.core.refpath`.  This suite pins that down across every
+catalog benchmark, every replacement policy, every architecture, and
+the multi-node interleaved driver — comparing full serialized result
+dicts, so a single drifting counter anywhere in the system fails
+loudly.  Each comparison builds fresh traces, so the fast run
+simulates its node side itself; ``tests/test_split.py`` covers runs
+that replay a memoized stream.
 
 Tier-1 runs a deterministic ~25% sample of the catalog × policy
 matrix (stratified per policy, seeded — the picked cells never change
@@ -78,26 +79,16 @@ def _with_data_cache_policy(config, policy):
         l3=dataclasses.replace(config.l3, replacement=policy))
 
 
-def _run_tiers(bench, architecture, config):
-    """Run all three tiers on fresh systems; return serialized dicts
-    ``(fast, batch, reference)``."""
+def _run_both(bench, architecture, config):
+    """Run both tiers on fresh systems and fresh traces; return the
+    serialized dicts ``(fast, reference)``."""
     traces = build_traces(bench, config.nodes, FAST)
     seed = FAST.seed * 31 + 5
     fast = FamSystem(config, architecture, seed=seed).run(
         traces, benchmark=bench, mode="fast")
-    batch_system = FamSystem(config, architecture, seed=seed)
-    assert batch_system.batch_capable()
-    batch = batch_system.run(traces, benchmark=bench, mode="batch")
     reference = FamSystem(config, architecture, seed=seed).run(
         traces, benchmark=bench, reference=True)
-    return (_result_to_dict(fast), _result_to_dict(batch),
-            _result_to_dict(reference))
-
-
-def _run_both(bench, architecture, config):
-    """Backward-compatible helper: ``(fast, reference)`` dicts."""
-    fast, _batch, reference = _run_tiers(bench, architecture, config)
-    return fast, reference
+    return _result_to_dict(fast), _result_to_dict(reference)
 
 
 class TestCatalogEquivalence:
@@ -111,78 +102,71 @@ class TestCatalogEquivalence:
 
     @pytest.mark.parametrize("bench,policy", _matrix_cells())
     def test_fast_and_batch_match_seed_path(self, bench, policy):
+        # The name predates the removal of the batch tier; the fast
+        # tier is now the only production path to compare.
         index = benchmark_names().index(bench)
         architecture = ARCHITECTURES[
             (index + POLICIES.index(policy)) % len(ARCHITECTURES)]
         config = _with_data_cache_policy(default_config(), policy)
-        fast, batch, reference = _run_tiers(bench, architecture, config)
+        fast, reference = _run_both(bench, architecture, config)
         assert fast == reference
-        assert batch == reference
 
     def test_all_architectures_one_benchmark(self):
         for architecture in ARCHITECTURES:
-            fast, batch, reference = _run_tiers("mcf", architecture,
-                                                default_config())
+            fast, reference = _run_both("mcf", architecture,
+                                        default_config())
             assert fast == reference
-            assert batch == reference
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_multi_node_interleaved_driver(self, policy):
-        # nodes > 1 goes through the heap-interleaved drivers: the
-        # scalar one pops one Node.step_fast per event, the batch one
-        # pops whole proved hit-runs.
+        # nodes > 1 interleaves the nodes' timing replays through the
+        # heap driver: each node runs until it would no longer be the
+        # next one popped.
         config = _with_data_cache_policy(
             with_nodes(default_config(), 3), policy)
-        fast, batch, reference = _run_tiers("dc", "deact-n", config)
+        fast, reference = _run_both("dc", "deact-n", config)
         assert fast == reference
-        assert batch == reference
 
     def test_encrypted_memory_mode(self):
         config = default_config()
         config = config.replace(
             stu=dataclasses.replace(config.stu, encrypted_memory_mode=True))
-        fast, batch, reference = _run_tiers("canl", "deact-n", config)
+        fast, reference = _run_both("canl", "deact-n", config)
         assert fast == reference
-        assert batch == reference
 
     def test_hit_dominated_workload(self):
-        # The batch tier's home regime: long provable hit-runs (the
-        # catalog traces mostly exercise short runs and bail-outs).
+        # Long stretches of L1 hits, where the replay charges only
+        # the L1 latency per event.
         from repro.experiments.bench import hot_loop_trace
 
-        traces = [hot_loop_trace(4000, seed=11)]
         for architecture in ARCHITECTURES:
             seed = 77
             reference = FamSystem(default_config(), architecture,
                                   seed=seed).run(
-                traces, benchmark="hot-loop", reference=True)
-            batch = FamSystem(default_config(), architecture,
-                              seed=seed).run(
-                traces, benchmark="hot-loop", mode="batch")
-            assert _result_to_dict(batch) == _result_to_dict(reference)
+                [hot_loop_trace(4000, seed=11)], benchmark="hot-loop",
+                reference=True)
+            fast = FamSystem(default_config(), architecture,
+                             seed=seed).run(
+                [hot_loop_trace(4000, seed=11)], benchmark="hot-loop",
+                mode="fast")
+            assert _result_to_dict(fast) == _result_to_dict(reference)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_multi_node_hit_dominated(self, policy):
-        # Long proved runs under the heap-interleaved multi-node
-        # driver, for every replacement policy (refill-extended runs
-        # get their own multi-node coverage in
-        # test_batch_engine.py::test_tlb_l2_refills_extend_runs_multi_node
-        # — the hotspot preset is pure enough to need no extensions).
+        # Long hit stretches under the heap-interleaved multi-node
+        # driver, for every replacement policy.
         config = _with_data_cache_policy(
             with_nodes(default_config(), 3), policy)
-        fast, batch, reference = _run_tiers("hotspot", "deact-w", config)
+        fast, reference = _run_both("hotspot", "deact-w", config)
         assert fast == reference
-        assert batch == reference
 
     def test_all_architectures_hit_dominated_catalog(self):
         # The hotspot preset (block-granular reuse) across all four
-        # access procedures: the run-extension engine must stay
-        # bit-identical whichever remote-access path charges misses.
+        # access procedures.
         for architecture in ARCHITECTURES:
-            fast, batch, reference = _run_tiers("hotspot", architecture,
-                                                default_config())
+            fast, reference = _run_both("hotspot", architecture,
+                                        default_config())
             assert fast == reference
-            assert batch == reference
 
     def test_not_vacuous(self):
         # Different seeds must differ, or the comparisons above would
@@ -208,7 +192,8 @@ class TestDecodedFrontEnd:
             assert vpn == vaddr // 4096
             assert offset == vaddr % 4096
             assert block == (vaddr % 4096) // 64
-            # Physical-block recomposition identity used by step_fast.
+            # Physical-block recomposition identity of the functional
+            # pass.
             for frame in (0, 7, 123456):
                 npa = (frame << 12) | offset
                 assert npa // 64 == (frame << 6) | block

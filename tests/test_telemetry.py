@@ -127,6 +127,7 @@ class TestAggregation:
         text = render_telemetry(runner.telemetry_summary())
         assert "events per second" in text
         assert "tag-store probes" in text
+        assert "node streams       : 1 built, 0 reused, 0 refused" in text
         assert "1 of 1" in text
 
     def test_empty_runner_summary(self):

@@ -19,9 +19,9 @@ from typing import Dict, Optional, Tuple
 from repro.acm.bitmap import SharedPageBitmap
 from repro.acm.layout import FamLayout
 from repro.acm.metadata import (
+    _CODE_TO_MASK,
     AcmEntry,
     Permission,
-    perm_code_allows,
     shared_owner_marker,
 )
 from repro.errors import AccessViolationError
@@ -36,6 +36,11 @@ class AcmStore:
         self.layout = layout
         self._entries: Dict[int, AcmEntry] = {}
         self._bitmaps: Dict[int, SharedPageBitmap] = {}
+        # Layout geometry hoisted off the per-check path (the layout
+        # is frozen).
+        self._usable_end = layout.metadata_base
+        self._page_bytes = layout.page_bytes
+        self._shared_marker = shared_owner_marker(layout.acm_bits)
 
     # ------------------------------------------------------------------
     # Broker-side mutation
@@ -56,10 +61,10 @@ class AcmStore:
         The paper sets *all* 4 KB sub-page entries of a shared 1 GB
         page to the marker; callers iterate the page range.
         """
-        marker = shared_owner_marker(self.layout.acm_bits)
         current = self._entries.get(fam_page)
         perm = current.perm_code if current else 0
-        self._entries[fam_page] = AcmEntry(owner=marker, perm_code=perm)
+        self._entries[fam_page] = AcmEntry(owner=self._shared_marker,
+                                           perm_code=perm)
 
     def bitmap_for_region(self, region: int) -> SharedPageBitmap:
         """The region's bitmap, created lazily (the physical 8 KB is
@@ -99,19 +104,30 @@ class AcmStore:
 
         Returns ``(allowed, consulted_bitmap)`` — the second element
         tells the timing model whether a bitmap block fetch was needed
-        (only for shared pages).
+        (only for shared pages).  The same decision as composing
+        ``layout.page_number``, ``AcmEntry.is_shared`` and
+        ``perm_code_allows``, with their lookups hoisted.
+
+        Raises
+        ------
+        ConfigError
+            When ``fam_addr`` lies outside the usable region.
         """
-        fam_page = self.layout.page_number(fam_addr)
-        entry = self._entries.get(fam_page)
+        if not 0 <= fam_addr < self._usable_end:
+            self.layout._check_usable(fam_addr)  # raises
+        entry = self._entries.get(fam_addr // self._page_bytes)
         if entry is None:
             return False, False
-        if entry.is_shared(self.layout.acm_bits):
+        owner = entry.owner
+        if owner == self._shared_marker:
             region = self.layout.region_of(fam_addr)
             bitmap = self.bitmap_for_region(region)
             return bitmap.allows(node_id, needed), True
-        if entry.owner != node_id:
+        if owner != node_id:
             return False, False
-        return perm_code_allows(entry.perm_code, needed), False
+        needed_mask = needed._value_
+        return (_CODE_TO_MASK[entry.perm_code & 0x3] & needed_mask
+                == needed_mask), False
 
     def verify(self, node_id: int, fam_addr: int,
                needed: Permission) -> bool:

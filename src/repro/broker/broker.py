@@ -26,7 +26,7 @@ from repro.broker.allocator import FrameAllocator
 from repro.broker.registry import NodeRegistry
 from repro.config.system import AllocationConfig, FamConfig, PAGE_BYTES
 from repro.errors import ConfigError, TranslationFault
-from repro.pagetable.x86 import FourLevelPageTable
+from repro.pagetable.x86 import FourLevelPageTable, WeakFrameAllocator
 from repro.sim.stats import Stats
 
 __all__ = ["MemoryBroker", "SharedSegment", "MigrationReport"]
@@ -85,7 +85,8 @@ class MemoryBroker:
         """Admit a node: gives it an empty system page table."""
         self.registry.register_node(node_id)
         self._tables[node_id] = FourLevelPageTable(
-            self._allocate_table_frame, name=f"{self.name}.spt{node_id}")
+            WeakFrameAllocator(self._allocate_table_frame),
+            name=f"{self.name}.spt{node_id}")
         self.stats.incr("nodes_registered")
 
     def _allocate_table_frame(self) -> int:

@@ -78,16 +78,12 @@ class Architecture(ABC):
         Returns the completion time seen by the node: the response
         arrival for reads, the service completion for (posted) writes.
         Implementations are allocation-free (this runs on the per-event
-        hot path); the seed's boxed procedures are preserved in
+        hot path) and call every traced component entry point (fabric
+        hops, STU, translator, ACM store, FAM device) directly; the
+        seed's boxed procedures are preserved in
         :mod:`repro.core.refpath`, and the hot-path equivalence suite
         pins the two to identical accounting.
         """
-
-    def fam_access(self, node: Node, npa: int, now: float,
-                   is_write: bool, kind: RequestKind) -> float:
-        """Compatibility alias for :meth:`fam_access_fast` (non-hot
-        callers and tests)."""
-        return self.fam_access_fast(node, npa, now, is_write, kind)
 
     def make_stu_organization(self, config: StuConfig) -> Union[
             IFamStuCache, DeactWAcmCache, DeactNAcmCache, None]:
@@ -128,14 +124,15 @@ class EFam(Architecture):
 
     def fam_access_fast(self, node: Node, npa: int, now: float,
                         is_write: bool, kind: RequestKind) -> float:
-        fam_page = node.broker.translate(node.node_id, npa >> _PAGE_SHIFT)
+        node_id = node.node_id
+        fam_page = node.broker.translate(node_id, npa >> _PAGE_SHIFT)
         fam_addr = (fam_page << _PAGE_SHIFT) | (npa & _PAGE_MASK)
-        depart = node.fabric.node_to_fam_arrival(now)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        fabric = node.fabric
+        depart = fabric.stu_to_fam_arrival(fabric.node_to_stu_arrival(now))
+        served = node.fam.access(fam_addr, depart, is_write, kind, node_id)
         if is_write:
             return served
-        return node.fabric.fam_to_node_arrival(served)
+        return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
 
 
 class IFam(Architecture):
@@ -155,8 +152,10 @@ class IFam(Architecture):
         stu = node.stu
         if stu is None:
             raise ProtocolError("I-FAM node has no STU attached")
-        t = node.fabric.node_to_stu_arrival(now)
-        fam_page, t, hit = stu.ifam_translate(npa >> _PAGE_SHIFT, t)
+        node_id = node.node_id
+        fabric = node.fabric
+        fam_page, t, hit = stu.ifam_translate(
+            npa >> _PAGE_SHIFT, fabric.node_to_stu_arrival(now))
         if hit:
             node._stat_counters["stu.translation_hits"] += 1.0
         else:
@@ -165,14 +164,13 @@ class IFam(Architecture):
         # Access control rides along with the cached mapping; the
         # decision itself is checked functionally against the
         # authoritative store.
-        node.broker.acm.verify(node.node_id, fam_addr,
+        node.broker.acm.verify(node_id, fam_addr,
                                _PERM_WRITE if is_write else _PERM_READ)
-        depart = node.fabric.stu_to_fam_arrival(t)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = node.fam.access(fam_addr, fabric.stu_to_fam_arrival(t),
+                                 is_write, kind, node_id)
         if is_write:
             return served
-        return node.fabric.fam_to_node_arrival(served)
+        return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
 
     def translation_hit_rate(self, node: Node) -> float:
         org = node.stu.organization if node.stu else None
@@ -196,8 +194,8 @@ class _DeactBase(Architecture):
         if stu is None or translator is None:
             raise ProtocolError("DeACT node missing STU or FAM translator")
         node_page = npa >> _PAGE_SHIFT
-        offset = npa & _PAGE_MASK
         needed = _PERM_WRITE if is_write else _PERM_READ
+        fabric = node.fabric
 
         # Section III-A aside: with per-node memory encryption keys,
         # reads need no access-control check (stolen ciphertext is
@@ -206,47 +204,33 @@ class _DeactBase(Architecture):
                              and not is_write)
 
         fam_page, lookup_done = translator.lookup_fast(node_page, now)
-        if fam_page is not None:
-            # Verified-flag path: node supplies the FAM address; the
-            # STU only checks access control.
-            fam_addr = (fam_page << _PAGE_SHIFT) | offset
-            if not is_write:
-                translator.register_response_mapping(
-                    _fresh_request_id(), fam_addr, npa)
-            t = node.fabric.node_to_stu_arrival(lookup_done)
-            if skip_verification:
-                node._stat_counters["stu.reads_unverified"] += 1.0
-            else:
-                t = stu.verify_access_fast(fam_addr, t, needed=needed)
+        t = fabric.node_to_stu_arrival(lookup_done)
+        # Verified-flag path (V=1): the node supplies the FAM address
+        # and the STU only checks access control.  V=0 path: the STU
+        # first walks the system page table on behalf of the FAM
+        # translator.
+        walked = fam_page is None
+        if walked:
+            fam_page, t = stu.walk_system_table_fast(node_page, t)
+        fam_addr = (fam_page << _PAGE_SHIFT) | (npa & _PAGE_MASK)
+        if skip_verification:
+            node._stat_counters["stu.reads_unverified"] += 1.0
         else:
-            # V=0 path: the STU walks the system page table on behalf
-            # of the FAM translator, then verifies.
-            t = node.fabric.node_to_stu_arrival(lookup_done)
-            fam_page, walk_done = stu.walk_system_table_fast(node_page, t)
-            fam_addr = (fam_page << _PAGE_SHIFT) | offset
-            if skip_verification:
-                node._stat_counters["stu.reads_unverified"] += 1.0
-                t = walk_done
-            else:
-                t = stu.verify_access_fast(fam_addr, walk_done,
-                                           needed=needed)
+            t = stu.verify_access_fast(fam_addr, t, needed)
+        if walked:
             # Mapping response: the STU ships {node page -> FAM page}
             # back; the translator read-modify-writes its DRAM row.
             # Off the data's critical path but real DRAM bank work.
-            mapping_at_node = node.fabric.stu_to_node_arrival(t)
-            translator.install(node_page, fam_page, mapping_at_node)
-            if not is_write:
-                translator.register_response_mapping(
-                    _fresh_request_id(), fam_addr, npa)
+            translator.install(node_page, fam_page,
+                               fabric.stu_to_node_arrival(t))
 
-        depart = node.fabric.stu_to_fam_arrival(t)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = node.fam.access(fam_addr, fabric.stu_to_fam_arrival(t),
+                                 is_write, kind, node.node_id)
         if is_write:
             return served
-        arrival = node.fabric.fam_to_node_arrival(served)
+        arrival = fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
         # Response re-addressing through the outstanding mapping list.
-        translator.outstanding.resolve(_last_request_id())
+        translator.outstanding.round_trip(fam_addr, npa)
         return arrival
 
     def translation_hit_rate(self, node: Node) -> float:
@@ -256,22 +240,6 @@ class _DeactBase(Architecture):
     def acm_hit_rate(self, node: Node) -> float:
         org = node.stu.organization if node.stu else None
         return org.hit_rate if org is not None else 0.0
-
-
-# The outstanding-mapping list needs request identities; the simulator
-# processes one FAM access at a time per call, so a module-level
-# monotonic id is race-free and keeps the list exercised end to end.
-_request_counter = 0
-
-
-def _fresh_request_id() -> int:
-    global _request_counter
-    _request_counter += 1
-    return _request_counter
-
-
-def _last_request_id() -> int:
-    return _request_counter
 
 
 class DeactW(_DeactBase):

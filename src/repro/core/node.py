@@ -38,7 +38,7 @@ from repro.config.system import PAGE_BYTES, SystemConfig
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
-from repro.pagetable.x86 import FourLevelPageTable
+from repro.pagetable.x86 import FourLevelPageTable, WeakFrameAllocator
 from repro.sim.clock import Clock
 from repro.sim.resource import OutstandingWindow
 from repro.sim.stats import Stats
@@ -54,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workloads.trace import DecodedTrace
 
 __all__ = ["Node"]
-
-#: Enum attribute lookups hoisted off the per-event path.
-_KIND_DATA = RequestKind.DATA
 
 
 class Node:
@@ -109,8 +106,9 @@ class Node:
         # functional pass runs (see repro.core.split): the pass must not
         # touch the broker, whose grant order the replay reproduces.
         self._pending_grants = None
-        self.page_table = FourLevelPageTable(self._allocate_os_frame,
-                                             name=f"{self.name}.pt")
+        self.page_table = FourLevelPageTable(
+            WeakFrameAllocator(self._allocate_os_frame),
+            name=f"{self.name}.pt")
         # Mirror of the page table's mapped VPNs for the per-event
         # demand-paging check (O(1) vs a radix traversal).
         self._mapped_vpns = set()
@@ -204,7 +202,8 @@ class Node:
         self.stats.incr("mem.fam")
         if kind == RequestKind.DATA:
             self.stats.incr("mem.fam_data")
-        return self.architecture.fam_access(self, npa, now, is_write, kind)
+        return self.architecture.fam_access_fast(self, npa, now, is_write,
+                                                 kind)
 
     def cached_access(self, npa: int, now: float, is_write: bool,
                       kind: RequestKind) -> Tuple[float, int]:
@@ -272,23 +271,6 @@ class Node:
                 self.core_time_ns = max(self.core_time_ns,
                                         issue + self._slot_ns)
         return self.core_time_ns
-
-    # ------------------------------------------------------------------
-    # Memory path of the timing replay
-    # ------------------------------------------------------------------
-    def _memory_access_fast(self, npa: int, now: float, is_write: bool,
-                            kind: RequestKind) -> float:
-        """Slim :meth:`memory_access` routing FAM-zone traffic through
-        the architecture's allocation-free access procedure (the
-        timing replay's LLC-miss and write-back path)."""
-        if npa < self.fam_zone_base:
-            self._stat_counters["mem.local"] += 1.0
-            return self.dram.access(npa, now, is_write=is_write, kind=kind)
-        self._stat_counters["mem.fam"] += 1.0
-        if kind is _KIND_DATA:
-            self._stat_counters["mem.fam_data"] += 1.0
-        return self.architecture.fam_access_fast(self, npa, now, is_write,
-                                                 kind)
 
     def drain(self) -> float:
         """Wait for all outstanding requests; returns final time."""

@@ -38,13 +38,7 @@ from typing import Tuple
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.config.system import PAGE_BYTES
-from repro.core.architectures import (
-    EFam,
-    IFam,
-    _DeactBase,
-    _fresh_request_id,
-    _last_request_id,
-)
+from repro.core.architectures import EFam, IFam, _DeactBase
 from repro.core.node import Node
 from repro.errors import AccessViolationError, ProtocolError
 from repro.mem.request import RequestKind
@@ -63,6 +57,21 @@ from repro.workloads.trace import TraceEvent
 __all__ = ["reference_step"]
 
 _NO_WRITEBACKS: Tuple[int, ...] = ()
+
+# The outstanding-mapping list needs request identities; the simulator
+# processes one FAM access at a time per call, so a module-level
+# monotonic id is race-free and keeps the list exercised end to end.
+_request_counter = 0
+
+
+def _fresh_request_id() -> int:
+    global _request_counter
+    _request_counter += 1
+    return _request_counter
+
+
+def _last_request_id() -> int:
+    return _request_counter
 
 
 # ----------------------------------------------------------------------

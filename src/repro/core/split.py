@@ -40,8 +40,8 @@ instead of re-simulating.  Two rules keep that exact:
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from heapq import heapify, heappop, heappush
 from typing import Dict, Generator, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.hotpath import hot_path
@@ -382,11 +382,20 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
     would pop this node; a single node sends ``(inf, True)`` and runs
     to the end.  Broker grants are issued at the event that recorded
     them, before the event's first memory access.
+
+    The core's outstanding window (``OutstandingWindow.admit`` /
+    ``record``) and the LLC-miss routing (``Node.memory_access``) are
+    inlined; every call into a component — ``DramDevice.access``, the
+    architecture's ``fam_access_fast``, ``MemoryBroker.ensure_mapped``
+    — stays a real call, once per operation.
     """
     window = node.window
-    admit = window.admit
-    record = window.record
-    memory_access = node._memory_access_fast
+    heap = window._completions
+    capacity = window.capacity
+    counters = node._stat_counters
+    fam_zone_base = node.fam_zone_base
+    dram_access = node.dram.access
+    fam_access = node.architecture.fam_access_fast
     ensure_mapped = node.broker.ensure_mapped
     node_id = node.node_id
     grant_counts = stream.grant_counts
@@ -402,6 +411,7 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
     core_time = node.core_time_ns
     instructions = node.instructions
     events = node.memory_events
+    admissions = 0
     grant_index = 0
     page_index = 0
     step_index = 0
@@ -414,7 +424,16 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
             events += 1
             instructions += gap + 1
             core_time += gap * slot_ns
-            issue = admit(core_time)
+            # --- issue: retire finished requests, wait while full ----
+            while heap and heap[0] <= core_time:
+                heappop(heap)
+            issue = core_time
+            while len(heap) >= capacity:
+                earliest = heappop(heap)
+                if earliest > issue:
+                    window.stall_time += earliest - issue
+                    issue = earliest
+            admissions += 1
             if code & GRANT:
                 last = page_index + grant_counts[grant_index]
                 grant_index += 1
@@ -433,13 +452,26 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
                         step_index += 1
                         t += step_latency[step & STEP_LEVEL]
                         if step & STEP_WRITEBACK:
-                            memory_access(addrs[addr_index], t, True,
-                                          _KIND_WRITEBACK)
+                            npa = addrs[addr_index]
                             addr_index += 1
+                            if npa < fam_zone_base:
+                                counters["mem.local"] += 1.0
+                                dram_access(npa, t, True, _KIND_WRITEBACK)
+                            else:
+                                counters["mem.fam"] += 1.0
+                                fam_access(node, npa, t, True,
+                                           _KIND_WRITEBACK)
                         if not step & STEP_LEVEL:
-                            t = memory_access(addrs[addr_index], t, False,
-                                              _KIND_NODE_PTW)
+                            npa = addrs[addr_index]
                             addr_index += 1
+                            if npa < fam_zone_base:
+                                counters["mem.local"] += 1.0
+                                t = dram_access(npa, t, False,
+                                                _KIND_NODE_PTW)
+                            else:
+                                counters["mem.fam"] += 1.0
+                                t = fam_access(node, npa, t, False,
+                                               _KIND_NODE_PTW)
 
             # --- data access and retire ------------------------------
             level = (code >> DATA_SHIFT) & 3
@@ -448,16 +480,29 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
             else:
                 t += step_latency[level]
                 if code & DATA_WRITEBACK:
-                    memory_access(addrs[addr_index], t, True,
-                                  _KIND_WRITEBACK)
+                    npa = addrs[addr_index]
                     addr_index += 1
+                    if npa < fam_zone_base:
+                        counters["mem.local"] += 1.0
+                        dram_access(npa, t, True, _KIND_WRITEBACK)
+                    else:
+                        counters["mem.fam"] += 1.0
+                        fam_access(node, npa, t, True, _KIND_WRITEBACK)
                 if level:
                     core_time = t
                 else:
-                    completion = memory_access(addrs[addr_index], t,
-                                               is_write, _KIND_DATA)
+                    npa = addrs[addr_index]
                     addr_index += 1
-                    record(completion)
+                    if npa < fam_zone_base:
+                        counters["mem.local"] += 1.0
+                        completion = dram_access(npa, t, is_write,
+                                                 _KIND_DATA)
+                    else:
+                        counters["mem.fam"] += 1.0
+                        counters["mem.fam_data"] += 1.0
+                        completion = fam_access(node, npa, t, is_write,
+                                                _KIND_DATA)
+                    heappush(heap, completion)
                     if dependent and not is_write:
                         if completion > core_time:
                             core_time = completion
@@ -469,11 +514,14 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
                 node.core_time_ns = core_time
                 node.instructions = instructions
                 node.memory_events = events
+                window.admissions += admissions
+                admissions = 0
                 limit, ties_win = yield core_time
     finally:
         node.core_time_ns = core_time
         node.instructions = instructions
         node.memory_events = events
+        window.admissions += admissions
 
 
 def run_replays(nodes: Sequence["Node"],
@@ -487,10 +535,9 @@ def run_replays(nodes: Sequence["Node"],
     """
     frontier = [(nodes[index].core_time_ns, index)
                 for index in range(len(nodes)) if replays[index] is not None]
-    heapq.heapify(frontier)
-    push, pop = heapq.heappush, heapq.heappop
+    heapify(frontier)
     while frontier:
-        _t, index = pop(frontier)
+        _t, index = heappop(frontier)
         if frontier:
             limit, other = frontier[0]
             ties_win = index < other
@@ -500,4 +547,4 @@ def run_replays(nodes: Sequence["Node"],
             node_time = replays[index].send((limit, ties_win))
         except StopIteration:
             continue
-        push(frontier, (node_time, index))
+        heappush(frontier, (node_time, index))

@@ -59,8 +59,15 @@ class FabricNetwork:
         the contention mechanism of the node-count sweep.
         """
         self._counters["stu_to_fam"] += 1.0
-        port_free = self.fam_port.reserve(depart,
-                                          self._port_occupancy_ns)
+        # TimedResource.reserve on the port, inlined (same float
+        # expression and bookkeeping).
+        port = self.fam_port
+        occupancy = self._port_occupancy_ns
+        busy = port._busy_until
+        port_free = (depart if depart > busy else busy) + occupancy
+        port._busy_until = port_free
+        port.reservations += 1
+        port.busy_time += occupancy
         # Wire latency accrues after the message wins the port.
         return port_free + self._stu_to_fam_ns
 

@@ -7,12 +7,17 @@ request census behind Figures 4 and 11.
 
 Counters are plain attributes (these methods run a dozen times per
 trace event); :meth:`snapshot` materializes them into the dict shape
-the experiment harness consumes.
+the experiment harness consumes.  For the same reason ``access``
+inlines the window admission and the bank reservation of
+:mod:`repro.sim.resource`, on the resources' own state: the same float
+expressions, and the same ``reservations``/``busy_time``/``admissions``
+/``stall_time`` bookkeeping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Optional
 
 from repro.config.system import FamConfig, LocalMemoryConfig
 from repro.mem.request import RequestKind
@@ -43,7 +48,19 @@ class DramDevice:
             self.reads += 1
         if kind.is_translation:
             self.at_accesses += 1
-        return self.banks.reserve(addr, now, self._access_ns)
+        # BankedResource.reserve, inlined.
+        banks = self.banks
+        mask = banks._bank_mask
+        block = addr >> banks._interleave_shift
+        bank = banks._banks[block & mask if mask >= 0 else
+                            block % banks.n_banks]
+        service = self._access_ns
+        busy = bank._busy_until
+        completion = (now if now > busy else busy) + service
+        bank._busy_until = completion
+        bank.reservations += 1
+        bank.busy_time += service
+        return completion
 
     @property
     def accesses(self) -> int:
@@ -82,8 +99,8 @@ class NvmDevice:
         self.reads = 0
         self.writes = 0
         self.at_accesses = 0
-        self.kind_counts: Dict[RequestKind, int] = {
-            kind: 0 for kind in RequestKind}
+        #: Requests per kind, indexed by ``RequestKind.index``.
+        self._kind_counts: List[int] = [0] * len(RequestKind)
         self.node_counts: Dict[int, int] = {}
 
     def access(self, addr: int, now: float, is_write: bool = False,
@@ -96,18 +113,50 @@ class NvmDevice:
         """
         if is_write:
             self.writes += 1
+            service = self._write_ns
         else:
             self.reads += 1
-        self.kind_counts[kind] += 1
+            service = self._read_ns
+        self._kind_counts[kind.index] += 1
         if kind.is_translation:
             self.at_accesses += 1
         if node_id is not None:
-            self.node_counts[node_id] = self.node_counts.get(node_id, 0) + 1
-        issue = self.window.admit(now)
-        service = self._write_ns if is_write else self._read_ns
-        completion = self.banks.reserve(addr, issue, service)
-        self.window.record(completion)
+            node_counts = self.node_counts
+            node_counts[node_id] = node_counts.get(node_id, 0) + 1
+        # OutstandingWindow.admit, inlined: retire finished requests,
+        # then wait for the earliest completion while the window is
+        # full.
+        window = self.window
+        heap = window._completions
+        while heap and heap[0] <= now:
+            heappop(heap)
+        issue = now
+        while len(heap) >= window.capacity:
+            earliest = heappop(heap)
+            if earliest > issue:
+                window.stall_time += earliest - issue
+                issue = earliest
+        window.admissions += 1
+        # BankedResource.reserve, inlined.
+        banks = self.banks
+        mask = banks._bank_mask
+        block = addr >> banks._interleave_shift
+        bank = banks._banks[block & mask if mask >= 0 else
+                            block % banks.n_banks]
+        busy = bank._busy_until
+        completion = (issue if issue > busy else busy) + service
+        bank._busy_until = completion
+        bank.reservations += 1
+        bank.busy_time += service
+        # OutstandingWindow.record, inlined.
+        heappush(heap, completion)
         return completion
+
+    @property
+    def kind_counts(self) -> Dict[RequestKind, int]:
+        """Requests observed at the FAM per :class:`RequestKind`."""
+        counts = self._kind_counts
+        return {kind: counts[kind.index] for kind in RequestKind}
 
     @property
     def accesses(self) -> int:
@@ -134,8 +183,9 @@ class NvmDevice:
             "at_accesses": float(self.at_accesses),
             "non_at_accesses": float(self.accesses - self.at_accesses),
         }
-        for kind, count in self.kind_counts.items():
-            counters[f"kind.{kind.value}"] = float(count)
+        for kind in RequestKind:
+            counters[f"kind.{kind.value}"] = float(
+                self._kind_counts[kind.index])
         for node_id, count in self.node_counts.items():
             counters[f"node.{node_id}.accesses"] = float(count)
         return counters
@@ -144,7 +194,7 @@ class NvmDevice:
         self.banks.reset()
         self.window.reset()
         self.reads = self.writes = self.at_accesses = 0
-        self.kind_counts = {kind: 0 for kind in RequestKind}
+        self._kind_counts = [0] * len(RequestKind)
         self.node_counts.clear()
 
 

@@ -40,9 +40,12 @@ _AT_KIND_VALUES = frozenset(("node_ptw", "fam_ptw", "acm"))
 # ``is_translation`` is consulted on every memory-device access, so it
 # is precomputed onto each member as a plain attribute (a property
 # would re-evaluate set membership per call on the hot path).
-for _kind in RequestKind:
+# ``index`` (declaration order) lets per-kind censuses be lists: a dict
+# keyed by the member pays a Python-level ``Enum.__hash__`` per bump.
+for _index, _kind in enumerate(RequestKind):
     _kind.is_translation = _kind.value in _AT_KIND_VALUES
-del _kind
+    _kind.index = _index
+del _index, _kind
 
 
 @dataclass

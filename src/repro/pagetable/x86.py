@@ -9,6 +9,7 @@ physical addresses — the walker charges memory accesses against them.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import TranslationFault
@@ -16,7 +17,7 @@ from repro.memo import BoundedMemo
 from repro.pagetable.entry import PageTableEntry, PTE_PRESENT, PTE_WRITE
 
 __all__ = ["FourLevelPageTable", "WalkStep", "LEVEL_NAMES",
-           "WALK_MEMO_CAP"]
+           "WALK_MEMO_CAP", "WeakFrameAllocator"]
 
 #: Cap on the per-table walk-decomposition memo.  One entry per warm
 #: VPN; 64 Ki entries cover a 256 MB working set of 4 KB pages — far
@@ -39,6 +40,9 @@ _INDEX_MASK = _ENTRIES_PER_TABLE - 1
 _SHIFT_L0 = 3 * _BITS_PER_LEVEL
 _SHIFT_L1 = 2 * _BITS_PER_LEVEL
 _SHIFT_L2 = _BITS_PER_LEVEL
+#: The VPN bits the four level indices use: VPNs equal under this mask
+#: share a leaf slot, so the flat leaf index is keyed by them too.
+_VPN_MASK = (1 << (4 * _BITS_PER_LEVEL)) - 1
 
 
 class WalkStep(NamedTuple):
@@ -61,6 +65,28 @@ class WalkStep(NamedTuple):
     @property
     def level_name(self) -> str:
         return LEVEL_NAMES[self.level]
+
+
+class WeakFrameAllocator:
+    """A frame-allocator callback that holds its owner weakly.
+
+    A table's owner (a node, the broker) keeps the table, and the
+    table keeps its frame allocator; a bound method as the allocator
+    would close that loop into a reference cycle, so the owner's whole
+    object graph would wait for the cyclic garbage collector instead
+    of being freed when its last reference goes.
+    """
+
+    __slots__ = ("_method",)
+
+    def __init__(self, method: Callable[[], int]) -> None:
+        self._method = weakref.WeakMethod(method)
+
+    def __call__(self) -> int:
+        method = self._method()
+        if method is None:
+            raise ReferenceError("the frame allocator's owner is gone")
+        return method()
 
 
 class _Table:
@@ -98,6 +124,10 @@ class FourLevelPageTable:
         self._root = _Table(self._allocate_frame())
         self.mapped_pages = 0
         self.table_pages = 1
+        # Leaf entries by (masked) VPN, kept in step with the radix
+        # tree by map()/unmap(): lookup() is one dict probe instead of
+        # a four-level descent.
+        self._leaves: Dict[int, PageTableEntry] = {}
         # Per-VPN memo of (walk steps, leaf entry): the radix descent
         # for a VPN is invariant until that VPN is remapped/unmapped
         # (interior tables are never freed), so the hot walker resolves
@@ -148,6 +178,7 @@ class FourLevelPageTable:
             self.mapped_pages += 1
         entry = PageTableEntry(frame=frame, flags=flags)
         table.slots[leaf_index] = entry
+        self._leaves[vpn & _VPN_MASK] = entry
         self._walk_memo.pop(vpn, None)
         return entry
 
@@ -166,6 +197,7 @@ class FourLevelPageTable:
             table = child
         if indices[3] in table.slots:
             del table.slots[indices[3]]
+            del self._leaves[vpn & _VPN_MASK]
             self.mapped_pages -= 1
             self._walk_memo.pop(vpn, None)
             return True
@@ -173,15 +205,7 @@ class FourLevelPageTable:
 
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """The leaf entry for ``vpn``, or ``None`` when unmapped."""
-        indices = self.split_vpn(vpn)
-        table = self._root
-        for level in range(3):
-            child = table.slots.get(indices[level])
-            if not isinstance(child, _Table):
-                return None
-            table = child
-        entry = table.slots.get(indices[3])
-        return entry if isinstance(entry, PageTableEntry) else None
+        return self._leaves.get(vpn & _VPN_MASK)
 
     def __contains__(self, vpn: int) -> bool:
         return self.lookup(vpn) is not None

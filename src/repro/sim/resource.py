@@ -47,7 +47,10 @@ class TimedResource:
         than ``now``.
 
         Returns the *completion* time.  Queueing delay is implicit:
-        service begins at ``max(now, busy_until)``.
+        service begins at ``max(now, busy_until)``.  The DRAM and NVM
+        devices and the fabric's FAM port inline this (with
+        :meth:`BankedResource.reserve`) in the same float form; a
+        change here must change them too.
         """
         if service_ns < 0:
             raise ConfigError(f"negative service time {service_ns} on {self.name}")
@@ -168,8 +171,10 @@ class OutstandingWindow:
         which the request can actually issue.
 
         If the window is full even after draining, the request waits for
-        the earliest outstanding completion.  (:meth:`drain` is inlined
-        — this runs once per trace event and once per FAM access.)
+        the earliest outstanding completion.  The timing replay
+        (:func:`repro.core.split.replay`) and ``NvmDevice.access``
+        inline this and :meth:`record`; a change here must change them
+        too.
         """
         heap = self._completions
         while heap and heap[0] <= now:

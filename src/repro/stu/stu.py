@@ -29,11 +29,15 @@ from repro.errors import AccessViolationError, ProtocolError
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import NvmDevice
 from repro.mem.request import RequestKind
-from repro.pagetable.walker import PageTableWalker
+from repro.pagetable.walker import PageTableWalker, WalkResult
 from repro.sim.stats import Stats
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache, IFamStuCache
 
 __all__ = ["Stu", "WalkTiming", "VerificationResult"]
+
+#: Enum attribute lookups hoisted off the per-access path.
+_KIND_FAM_PTW = RequestKind.FAM_PTW
+_KIND_ACM = RequestKind.ACM
 
 
 @dataclass
@@ -74,20 +78,33 @@ class Stu:
         self.organization = organization
         self.name = name
         self.stats = Stats(name)
-        # Counter dict, organization kind and lookup latency hoisted
-        # off the per-verification path.
+        # Counter dict, organization kind, layout geometry and lookup
+        # latency hoisted off the per-access path.
         self._counters = self.stats._counters
+        self._org_is_ifam = isinstance(organization, IFamStuCache)
         self._org_is_deact = isinstance(organization,
                                         (DeactWAcmCache, DeactNAcmCache))
         self._lookup_ns = config.lookup_ns
+        layout = acm_store.layout
+        self._usable_end = layout.metadata_base
+        self._page_bytes = layout.page_bytes
+        # The organization's tag store, probed directly on the hit
+        # path; a DeACT-W way is tagged by its group of contiguous
+        # pages.
+        self._tags = (organization._cache if organization is not None
+                      else None)
+        self._acm_group = (organization.pages_per_way
+                           if isinstance(organization, DeactWAcmCache)
+                           else 1)
         # The STU has a single FAM-PTW unit (Figure 6): concurrent
         # translation misses from one node serialize behind it.  This
         # is the mechanism that lets translation misses destroy
         # memory-level parallelism in I-FAM — the core can overlap 32
         # data misses, but their walks form a queue at the STU.
         self._ptw_busy_until = 0.0
-        # Outcome flags of the most recent verification, for the boxed
-        # verify_access wrapper.
+        # Outcomes of the most recent walk and verification, for the
+        # boxed walk_system_table / verify_access wrappers.
+        self._last_walk: Optional[WalkResult] = None
         self._last_verification = (True, False, False)
 
     # ------------------------------------------------------------------
@@ -102,14 +119,23 @@ class Stu:
         the mapping (including its ACM, which travels with the PTE in
         I-FAM) is installed.
         """
-        if not isinstance(self.organization, IFamStuCache):
+        if not self._org_is_ifam:
             raise ProtocolError(
                 f"{self.name}: ifam_translate on a {type(self.organization)}")
-        t = now + self.config.lookup_ns
-        fam_page = self.organization.lookup(node_page)
-        if fam_page is not None:
+        t = now + self._lookup_ns
+        # IFamStuCache.lookup, inlined on its tag store.
+        tags = self._tags
+        mask = tags._mask
+        lines = tags._sets[node_page & mask if mask >= 0
+                           else node_page % tags.n_sets]
+        line = lines.get(node_page)
+        if line is not None:
+            tags.hits += 1
+            if tags._promote_on_hit:
+                lines.move_to_end(node_page)
             self._counters["mapping.hits"] += 1.0
-            return fam_page, t, True
+            return line[0], t, True
+        tags.misses += 1
         self._counters["mapping.misses"] += 1.0
         fam_page, completion = self.walk_system_table_fast(node_page, t)
         self.organization.install(node_page, fam_page)
@@ -118,42 +144,39 @@ class Stu:
     # ------------------------------------------------------------------
     # System page-table walking (shared by I-FAM and DeACT misses)
     # ------------------------------------------------------------------
-    def _walk_core(self, node_page: int, now: float):
-        """Timed system-table walk shared by the boxed and fast APIs.
+    def walk_system_table_fast(self, node_page: int,
+                               now: float) -> Tuple[int, float]:
+        """Timed system-table walk: ``(fam_page, completion_ns)``.
 
         Each surviving level (after the STU's walk caches) is a
         dependent FAM read: router -> FAM port -> NVM bank -> router.
-        Returns ``(walk_result, completion_ns)``.
         """
         result = self.walker.walk(node_page)
+        self._last_walk = result
         # Queue behind any walk already in flight at this STU's PTW
         # unit, then hold the unit for the whole walk.
-        t = now if now > self._ptw_busy_until else self._ptw_busy_until
+        busy = self._ptw_busy_until
+        t = now if now > busy else busy
         if t > now:
             self.stats.incr("ptw_queue_time", t - now)
+        fabric = self.fabric
+        fam_access = self.fam.access
+        node_id = self.node_id
         for step in result.steps:
-            depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(step.entry_addr, depart,
-                                     is_write=False,
-                                     kind=RequestKind.FAM_PTW,
-                                     node_id=self.node_id)
-            t = self.fabric.fam_to_stu_arrival(served)
+            depart = fabric.stu_to_fam_arrival(t)
+            served = fam_access(step.entry_addr, depart, False,
+                                _KIND_FAM_PTW, node_id)
+            t = fabric.fam_to_stu_arrival(served)
         self._ptw_busy_until = t
         self._counters["walks"] += 1.0
         self._counters["walk_accesses"] += float(len(result.steps))
-        return result, t
-
-    def walk_system_table_fast(self, node_page: int,
-                               now: float) -> Tuple[int, float]:
-        """Allocation-free system-table walk: ``(fam_page,
-        completion_ns)`` — the per-miss hot path."""
-        result, t = self._walk_core(node_page, now)
         return result.frame, t
 
     def walk_system_table(self, node_page: int, now: float) -> WalkTiming:
         """Walk the broker-maintained system page table (boxed)."""
-        result, t = self._walk_core(node_page, now)
-        return WalkTiming(fam_page=result.frame, completion_ns=t,
+        fam_page, t = self.walk_system_table_fast(node_page, now)
+        result = self._last_walk
+        return WalkTiming(fam_page=fam_page, completion_ns=t,
                           memory_accesses=len(result.steps),
                           skipped_levels=result.skipped_levels)
 
@@ -173,6 +196,8 @@ class Stu:
 
         Raises
         ------
+        ConfigError
+            When ``fam_addr`` lies outside the usable FAM region.
         AccessViolationError
             When ``enforce`` is set and the metadata denies the access.
         """
@@ -180,18 +205,28 @@ class Stu:
             raise ProtocolError(
                 f"{self.name}: verify_access needs a DeACT ACM cache")
         layout = self.acm_store.layout
-        fam_page = layout.page_number(fam_addr)
+        if not 0 <= fam_addr < self._usable_end:
+            layout._check_usable(fam_addr)  # raises
+        fam_page = fam_addr // self._page_bytes
         t = now + self._lookup_ns
-        acm_hit = self.organization.lookup(fam_page)
+        # The organization's lookup, inlined on its tag store.
+        tags = self._tags
+        key = fam_page // self._acm_group
+        mask = tags._mask
+        lines = tags._sets[key & mask if mask >= 0 else key % tags.n_sets]
+        acm_hit = key in lines
         if acm_hit:
+            tags.hits += 1
+            if tags._promote_on_hit:
+                lines.move_to_end(key)
             self._counters["acm.hits"] += 1.0
         else:
+            tags.misses += 1
             self._counters["acm.misses"] += 1.0
             block_addr = layout.acm_block_addr(fam_addr)
             depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(block_addr, depart, is_write=False,
-                                     kind=RequestKind.ACM,
-                                     node_id=self.node_id)
+            served = self.fam.access(block_addr, depart, False, _KIND_ACM,
+                                     self.node_id)
             t = self.fabric.fam_to_stu_arrival(served)
             self.organization.install(fam_page)
 
@@ -202,9 +237,8 @@ class Stu:
             # node's bits.
             bitmap_addr = layout.bitmap_block_addr(fam_addr, self.node_id)
             depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(bitmap_addr, depart, is_write=False,
-                                     kind=RequestKind.ACM,
-                                     node_id=self.node_id)
+            served = self.fam.access(bitmap_addr, depart, False, _KIND_ACM,
+                                     self.node_id)
             t = self.fabric.fam_to_stu_arrival(served)
             self.stats.incr("bitmap_fetches")
 

@@ -30,6 +30,9 @@ __all__ = ["FamTranslator", "TranslatorLookup"]
 #: One-cycle concurrent tag match (four comparators + mux, Figure 7b).
 _TAG_MATCH_NS = 0.5
 
+#: Enum attribute lookup hoisted off the per-access path.
+_KIND_NODE_PTW = RequestKind.NODE_PTW
+
 
 @dataclass
 class TranslatorLookup:
@@ -62,6 +65,8 @@ class FamTranslator:
         self.name = name
         self.cache = TranslationCache(config, name=f"{name}.tcache",
                                       seed=seed)
+        # Its tag store, probed directly on the per-access path.
+        self._tags = self.cache._cache
         # Row-address arithmetic memoized off the per-access path.
         self._n_rows = config.n_sets
         self._row_bytes = config.entry_bytes * config.associativity
@@ -86,15 +91,23 @@ class FamTranslator:
         this runs once per FAM-bound request on the hot path.
         """
         row = self.region_base + (node_page % self._n_rows) * self._row_bytes
-        served = self.dram.access(row, now, is_write=False,
-                                  kind=RequestKind.NODE_PTW)
+        served = self.dram.access(row, now, False, _KIND_NODE_PTW)
         t = served + _TAG_MATCH_NS
-        fam_page = self.cache.lookup(node_page)
-        if fam_page is None:
+        # TranslationCache.lookup, inlined on its tag store.
+        tags = self._tags
+        mask = tags._mask
+        lines = tags._sets[node_page & mask if mask >= 0
+                           else node_page % tags.n_sets]
+        line = lines.get(node_page)
+        if line is None:
+            tags.misses += 1
             self._stat_counters["misses"] += 1.0
-        else:
-            self._stat_counters["hits"] += 1.0
-        return fam_page, t
+            return None, t
+        tags.hits += 1
+        if tags._promote_on_hit:
+            lines.move_to_end(node_page)
+        self._stat_counters["hits"] += 1.0
+        return line[0], t
 
     def lookup(self, node_page: int, now: float) -> TranslatorLookup:
         """Translate ``node_page``: one DRAM row fetch + tag match."""
@@ -110,11 +123,9 @@ class FamTranslator:
         already forwarded by the STU), but the DRAM bank time is real
         and contends with demand traffic.
         """
-        row = self.row_address(node_page)
-        read_done = self.dram.access(row, now, is_write=False,
-                                     kind=RequestKind.NODE_PTW)
-        write_done = self.dram.access(row, read_done, is_write=True,
-                                      kind=RequestKind.NODE_PTW)
+        row = self.region_base + (node_page % self._n_rows) * self._row_bytes
+        read_done = self.dram.access(row, now, False, _KIND_NODE_PTW)
+        write_done = self.dram.access(row, read_done, True, _KIND_NODE_PTW)
         self.cache.install(node_page, fam_page)
         self.stats.incr("updates")
         return write_done

@@ -68,6 +68,17 @@ class OutstandingMappingList:
                 f"{self.name}: response for unknown request {request_id}")
         return entry
 
+    def round_trip(self, fam_addr: int, node_addr: int) -> int:
+        """Track one request whose response arrives before the caller
+        returns (the simulator carries a FAM access to completion in
+        one call): :meth:`register` it under the next id of this
+        list's own registration count, then :meth:`resolve` it.
+        Returns the node address the response is re-addressed to.
+        """
+        request_id = self.registered + 1
+        self.register(request_id, fam_addr, node_addr)
+        return self.resolve(request_id)[1]
+
     def node_address_of(self, request_id: int) -> int:
         """Peek at the node address without consuming the entry."""
         entry = self._entries.get(request_id)

@@ -33,8 +33,6 @@ class TranslationCache:
             name, config.n_sets, config.associativity,
             replacement=config.replacement, seed=seed)
         self.stats = Stats(name)
-        self._hits = 0
-        self._misses = 0
 
     @property
     def n_sets(self) -> int:
@@ -56,11 +54,7 @@ class TranslationCache:
         """Probe for a mapping; the four tags of the fetched row are
         compared concurrently (one cycle of comparators, Figure 7b)."""
         line = self._cache.get_line(node_page)
-        if line is not None:
-            self._hits += 1
-            return line[0]
-        self._misses += 1
-        return None
+        return line[0] if line is not None else None
 
     def install(self, node_page: int, fam_page: int) -> None:
         """Write a mapping into its row (random victim within the
@@ -83,22 +77,21 @@ class TranslationCache:
 
     @property
     def hits(self) -> int:
-        return self._hits
+        return self._cache.hits
 
     @property
     def misses(self) -> int:
-        return self._misses
+        return self._cache.misses
 
     @property
     def hit_rate(self) -> float:
         """Figure 10's DeACT curve for this node."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
+        return self._cache.hit_rate
 
     @property
     def probes(self) -> int:
         """Total tag probes (telemetry)."""
-        return self._hits + self._misses
+        return self._cache.accesses
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -235,3 +235,73 @@ class TestAcmStore:
         store.set_owner(1, 1, PERM_RW)
         store.set_owner(2, 1, PERM_RW)
         assert store.allocated_pages == 2
+
+
+def _composed_check(store, node_id, fam_addr, needed):
+    """The access decision composed from the layout, entry and
+    permission-code helpers that ``AcmStore.check`` hoists."""
+    layout = store.layout
+    entry = store.entry_of(layout.page_number(fam_addr))
+    if entry is None:
+        return False, False
+    if entry.is_shared(layout.acm_bits):
+        bitmap = store.bitmap_for_region(layout.region_of(fam_addr))
+        return bitmap.allows(node_id, needed), True
+    if entry.owner != node_id:
+        return False, False
+    return perm_code_allows(entry.perm_code, needed), False
+
+
+_NEEDED = st.sampled_from([
+    Permission.READ, Permission.WRITE, Permission.EXEC,
+    Permission.READ | Permission.WRITE,
+    Permission.READ | Permission.EXEC,
+    Permission.READ | Permission.WRITE | Permission.EXEC])
+
+
+class TestCheckMatchesComposedDecision:
+    """``AcmStore.check`` is the security decision every FAM access
+    takes; its hoisted form must equal the composed one everywhere."""
+
+    @given(acm_bits=st.sampled_from([8, 16, 32]),
+           pages=st.dictionaries(
+               st.integers(min_value=0, max_value=63),
+               st.tuples(st.integers(min_value=0, max_value=5),
+                         st.integers(min_value=0, max_value=3),
+                         st.booleans()),
+               max_size=48),
+           grants=st.dictionaries(st.integers(min_value=0, max_value=5),
+                                  st.integers(min_value=0, max_value=3),
+                                  max_size=4),
+           queries=st.lists(st.tuples(st.integers(min_value=0, max_value=5),
+                                      st.integers(min_value=0, max_value=71),
+                                      st.integers(min_value=0,
+                                                  max_value=4095),
+                                      _NEEDED),
+                            min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_random_owners_classes_and_shared_pages(self, acm_bits, pages,
+                                                    grants, queries):
+        store = AcmStore(FamLayout(2 * GIB, acm_bits=acm_bits))
+        for page, (owner, perm_code, shared) in pages.items():
+            store.set_owner(page, owner, perm_code)
+            if shared:
+                store.mark_shared(page)
+        for node_id, perm_code in grants.items():
+            store.bitmap_for_region(0).grant(node_id, perm_code)
+        for node_id, page, offset, needed in queries:
+            fam_addr = page * 4096 + offset
+            assert store.check(node_id, fam_addr, needed) == \
+                _composed_check(store, node_id, fam_addr, needed)
+
+    @given(acm_bits=st.sampled_from([8, 16, 32]),
+           beyond=st.integers(min_value=0, max_value=1 << 20))
+    @settings(max_examples=60, deadline=None)
+    def test_outside_usable_region_raises(self, acm_bits, beyond):
+        store = AcmStore(FamLayout(2 * GIB, acm_bits=acm_bits))
+        end = store.layout.metadata_base
+        for fam_addr in (end + beyond, -1 - beyond):
+            with pytest.raises(ConfigError):
+                store.check(0, fam_addr, Permission.READ)
+            with pytest.raises(ConfigError):
+                store.verify(0, fam_addr, Permission.READ)

@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TranslationFault
 from repro.pagetable.walker import PageTableWalker
-from repro.pagetable.x86 import FourLevelPageTable, LEVEL_NAMES
+from repro.pagetable.x86 import (
+    FourLevelPageTable,
+    LEVEL_NAMES,
+    WeakFrameAllocator,
+)
 
 
 def make_table():
@@ -182,3 +186,59 @@ class TestWalker:
         for _ in range(2):
             for index, vpn in enumerate(vpns):
                 assert walker.walk(vpn).frame == index + 100
+
+
+def _radix_leaf(table, vpn):
+    """The leaf entry a root-to-leaf descent of the radix tree reaches
+    for ``vpn``, or ``None``."""
+    indices = table.split_vpn(vpn)
+    node = table._root
+    for index in indices[:3]:
+        node = node.slots.get(index)
+        if node is None:
+            return None
+    return node.slots.get(indices[3])
+
+
+#: VPNs that share interior tables, plus two that alias a small VPN
+#: once the four 9-bit level indices mask them.
+_VPN_POOL = [0, 1, 511, 512, 0x1234, 0x7FFFF, (1 << 36) - 1,
+             1 << 36, (1 << 36) | 0x1234]
+
+
+class TestFlatLeafIndex:
+    """``lookup`` reads a flat leaf index that ``map``/``unmap`` keep
+    in step with the radix tree the walkers descend."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["map", "unmap"]),
+                              st.sampled_from(_VPN_POOL),
+                              st.integers(min_value=0, max_value=1 << 20)),
+                    max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_lookup_equals_radix_descent(self, operations):
+        table = make_table()
+        for op, vpn, frame in operations:
+            if op == "map":
+                table.map(vpn, frame)
+            else:
+                table.unmap(vpn)
+            for probe in _VPN_POOL:
+                assert table.lookup(probe) is _radix_leaf(table, probe)
+        assert len(list(table.iter_mappings())) == table.mapped_pages
+
+
+class TestWeakFrameAllocator:
+    def test_calls_through_and_holds_owner_weakly(self):
+        class Owner:
+            frames = 0
+
+            def allocate(self):
+                self.frames += 1
+                return self.frames * 4096
+
+        owner = Owner()
+        allocate = WeakFrameAllocator(owner.allocate)
+        assert allocate() == 4096
+        del owner
+        with pytest.raises(ReferenceError):
+            allocate()

@@ -8,11 +8,13 @@ cache, which is exactly the new attack surface the decoupling opens.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.acm.metadata import PERM_RO, PERM_RW, Permission
 from repro.config.presets import small_config, with_nodes
 from repro.core.system import FamSystem
-from repro.errors import AccessViolationError
+from repro.errors import AccessViolationError, ConfigError
+from repro.mem.request import RequestKind
 
 PAGE = 4096
 
@@ -142,8 +144,8 @@ class TestIFamEnforcement:
         system.broker.system_table(1).map(0x60, victim_page)
         node = system.nodes[1]
         with pytest.raises(AccessViolationError):
-            node.architecture.fam_access(node, 0x60 * PAGE, 0.0, False,
-                                         RequestKind.DATA)
+            node.architecture.fam_access_fast(node, 0x60 * PAGE, 0.0,
+                                              False, RequestKind.DATA)
 
 
 class TestHonestWorkloadsNeverViolate:
@@ -159,3 +161,50 @@ class TestHonestWorkloadsNeverViolate:
         system.run(trace, benchmark="sec")
         if system.nodes[0].stu is not None:
             assert system.nodes[0].stu.stats.get("violations") == 0
+
+
+class TestFastPathEnforcement:
+    """The allocation-free entry points the timing replay calls keep
+    every check of the boxed API."""
+
+    @pytest.mark.parametrize("arch", ["deact-w", "deact-n"])
+    @given(beyond=st.integers(min_value=0, max_value=1 << 24))
+    @settings(max_examples=25, deadline=None)
+    def test_outside_usable_region_raises(self, arch, beyond):
+        system = FamSystem(small_config(), arch, seed=7)
+        stu = system.nodes[0].stu
+        end = system.broker.layout.metadata_base
+        for fam_addr in (end + beyond, -1 - beyond):
+            with pytest.raises(ConfigError):
+                stu.verify_access_fast(fam_addr, 0.0, Permission.READ)
+            with pytest.raises(ConfigError):
+                system.broker.acm.check(0, fam_addr, Permission.READ)
+        assert stu.stats.get("acm.hits") + stu.stats.get("acm.misses") == 0
+
+    @pytest.mark.parametrize("arch", ["deact-w", "deact-n"])
+    @pytest.mark.parametrize("needed", [Permission.READ, Permission.WRITE])
+    def test_foreign_owned_page_raises(self, arch, needed):
+        system = FamSystem(with_nodes(small_config(), 2), arch, seed=7)
+        fam_page = system.broker.allocate_for_node(0, node_page=0x100)
+        stu = system.nodes[1].stu
+        for _ in range(2):  # an ACM-cache miss, then a hit
+            with pytest.raises(AccessViolationError) as excinfo:
+                stu.verify_access_fast(fam_page * PAGE, 0.0, needed)
+            assert excinfo.value.node_id == 1
+        assert stu.stats.get("violations") == 2
+
+    @pytest.mark.parametrize("arch", ["deact-w", "deact-n"])
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_forged_translation_raises_through_the_access(self, arch,
+                                                          is_write):
+        """Node 1's unverified translation cache is poisoned with node
+        0's FAM page; the access procedure must still be denied."""
+        system = FamSystem(with_nodes(small_config(), 2), arch, seed=7)
+        fam_page = system.broker.allocate_for_node(0, node_page=0x100)
+        node = system.nodes[1]
+        node_page = node.fam_zone_base // PAGE + 5
+        system.broker.ensure_mapped(1, node_page)
+        node.fam_translator.cache.install(node_page, fam_page)
+        with pytest.raises(AccessViolationError):
+            node.architecture.fam_access_fast(
+                node, node_page * PAGE, 0.0, is_write, RequestKind.DATA)

@@ -1,5 +1,7 @@
 """Integration tests: whole-system runs across architectures."""
 
+import gc
+
 import pytest
 
 from repro.config.presets import small_config, with_nodes
@@ -141,3 +143,25 @@ class TestRunResultDerivations:
         result = self.make("e-fam")
         assert result.node(0) is result.nodes[0]
         assert result.node(99) is None
+
+
+class TestNoReferenceCycles:
+    """A dropped system is freed by reference counting alone, so no
+    job's system outlives the job waiting for the cyclic collector."""
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    @pytest.mark.parametrize("arch", ["e-fam", "i-fam", "deact-w",
+                                      "deact-n"])
+    def test_dropped_system_leaves_no_cyclic_garbage(self, arch, nodes):
+        traces = [quick_trace(seed=1 + index) for index in range(nodes)]
+        gc.collect()
+        gc.disable()
+        try:
+            system = FamSystem(with_nodes(small_config(), nodes), arch,
+                               seed=2)
+            result = system.run(traces, benchmark="it")
+            assert result.nodes[0].memory_accesses == 1500
+            del system, result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

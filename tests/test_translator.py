@@ -111,6 +111,21 @@ class TestOutstandingMappingList:
         assert oml.peak_occupancy == 5
         assert oml.registered == 5
 
+    def test_round_trip_registers_and_resolves(self):
+        oml = OutstandingMappingList(capacity=2)
+        assert oml.round_trip(0xF000, 0xA000) == 0xA000
+        assert oml.round_trip(0xF040, 0xA040) == 0xA040
+        assert (len(oml), oml.registered, oml.peak_occupancy) == (0, 2, 1)
+
+    def test_round_trip_keeps_register_checks(self):
+        oml = OutstandingMappingList(capacity=2)
+        oml.register(2, 0, 0)  # the id the next round trip would take
+        with pytest.raises(ProtocolError):
+            oml.round_trip(0, 0)
+        oml.register(3, 0, 0)
+        with pytest.raises(ProtocolError):  # full
+            oml.round_trip(0, 0)
+
     def test_paper_capacity_default(self):
         assert OutstandingMappingList().capacity == 128
 

@@ -10,7 +10,7 @@
 """
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import (
     FifoPolicy,
     LruPolicy,
@@ -23,7 +23,6 @@ __all__ = [
     "SetAssociativeCache",
     "AccessResult",
     "CacheHierarchy",
-    "HierarchyResult",
     "ReplacementPolicy",
     "LruPolicy",
     "FifoPolicy",

@@ -13,42 +13,15 @@ they generate real memory traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config.system import CacheConfig
 from repro.core.hotpath import hot_path
 
-__all__ = ["CacheHierarchy", "HierarchyResult"]
+__all__ = ["CacheHierarchy"]
 
 _NO_WRITEBACKS: Tuple[int, ...] = ()
-
-
-@dataclass
-class HierarchyResult:
-    """Outcome of one hierarchy access.
-
-    Attributes
-    ----------
-    level:
-        1, 2 or 3 for the level that hit; 0 when the access missed all
-        levels and must go to memory.
-    latency_ns:
-        On-chip latency spent reaching the serving level (for a full
-        miss, the latency of checking all three levels).
-    writebacks:
-        Block addresses of dirty LLC victims that must be written back
-        to memory as a side effect of filling this access.
-    """
-
-    level: int
-    latency_ns: float
-    writebacks: Tuple[int, ...] = _NO_WRITEBACKS
-
-    @property
-    def hit(self) -> bool:
-        return self.level != 0
 
 
 class CacheHierarchy:
@@ -70,32 +43,19 @@ class CacheHierarchy:
         self._lat12 = self.latencies[0] + self.latencies[1]
         self._lat123 = sum(self.latencies)
 
-    def block_address(self, addr: int) -> int:
-        """Align ``addr`` down to its cache block."""
-        return addr // self.block_bytes
-
     # ------------------------------------------------------------------
-    def access(self, addr: int, write: bool = False) -> HierarchyResult:
-        """Access ``addr``; fill on miss; report serving level.
-
-        The returned latency is the sum of lookup latencies down to and
-        including the serving level (or all levels on a full miss),
-        which matches a serial-lookup hierarchy.  Boxed wrapper over
-        :meth:`access_fast` for non-hot callers.
-        """
-        level, latency, writebacks = self.access_fast(
-            addr >> self.block_shift, write)
-        return HierarchyResult(level, latency, writebacks)
-
     def access_fast(self, block: int,
                     write: bool) -> Tuple[int, float, Tuple[int, ...]]:
         """Allocation-free probe of a pre-shifted block number.
 
-        Returns ``(level, latency_ns, writebacks)`` with the same
-        accounting as :meth:`access` but no result boxing — this is
-        the per-event path (one call per trace event plus one per
-        surviving page-walk step).  The L1 probe is inlined
-        (``get_line``'s body) because most accesses end there.
+        Returns ``(level, latency_ns, writebacks)``: ``level`` is 1, 2
+        or 3 for the level that hit and 0 for a full miss (which fills
+        every level); ``latency_ns`` is the sum of lookup latencies
+        down to and including the serving level (all three on a miss),
+        as in a serial-lookup hierarchy; ``writebacks`` holds the byte
+        addresses of dirty LLC victims the fill evicted.  The L1 probe
+        is inlined (``get_line``'s body) because most accesses end
+        there.
         """
         l1 = self._l1
         mask = l1._mask

@@ -23,8 +23,10 @@ caches, OS frame allocation — and records a compact per-event stream;
 a *timing replay* then drives the outstanding window, local DRAM and
 the architecture's FAM access procedure from that stream.  Node-side
 state never depends on the architecture, so one stream serves every
-architecture of a trace.  :meth:`Node.step` is the boxed per-event
-reference path behind the :mod:`repro.core.refpath` oracle.
+architecture of a trace.  The per-event oracle,
+:func:`repro.core.refpath.reference_step`, drives a node's components
+directly; this class holds the node's state and OS layer and has no
+per-event method of its own.
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.config.system import PAGE_BYTES, SystemConfig
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import DramDevice, NvmDevice
-from repro.mem.request import RequestKind
 from repro.pagetable.x86 import FourLevelPageTable, WeakFrameAllocator
 from repro.sim.clock import Clock
 from repro.sim.resource import OutstandingWindow
 from repro.sim.stats import Stats
 from repro.tlb.mmu import Mmu
 from repro.translator.fam_translator import FamTranslator
-from repro.workloads.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.architectures import Architecture
@@ -188,90 +188,8 @@ class Node:
         self.stats.incr("page_faults")
 
     # ------------------------------------------------------------------
-    # Memory path
-    # ------------------------------------------------------------------
-    def in_fam_zone(self, npa: int) -> bool:
-        return npa >= self.fam_zone_base
-
-    def memory_access(self, npa: int, now: float, is_write: bool,
-                      kind: RequestKind) -> float:
-        """LLC-miss path: local DRAM or the architecture's FAM access."""
-        if npa < self.fam_zone_base:
-            self.stats.incr("mem.local")
-            return self.dram.access(npa, now, is_write=is_write, kind=kind)
-        self.stats.incr("mem.fam")
-        if kind == RequestKind.DATA:
-            self.stats.incr("mem.fam_data")
-        return self.architecture.fam_access_fast(self, npa, now, is_write,
-                                                 kind)
-
-    def cached_access(self, npa: int, now: float, is_write: bool,
-                      kind: RequestKind) -> Tuple[float, int]:
-        """Access through the cache hierarchy, falling through to the
-        memory path on a full miss.
-
-        Returns ``(completion_ns, level)`` with ``level`` 0 on a miss
-        (served by memory) and 1..3 for cache hits.  Dirty write-backs
-        are charged against memory bandwidth off the critical path.
-        """
-        result = self.caches.access(npa, write=is_write)
-        t = now + result.latency_ns
-        for wb_addr in result.writebacks:
-            self.memory_access(wb_addr, t, True, RequestKind.WRITEBACK)
-        if result.hit:
-            return t, result.level
-        return self.memory_access(npa, t, is_write, kind), 0
-
-    def access(self, vaddr: int, is_write: bool,
-               now: float) -> Tuple[float, int]:
-        """One full virtual-address access: translate, then reference.
-
-        Page-walk reads are serial (each level's address depends on
-        the previous) and traverse the data caches like any other
-        read — the paper's Figure 1 walk behaviour.
-        """
-        vpn = self.mmu.vpn_of(vaddr)
-        if vpn not in self._mapped_vpns:
-            self._handle_page_fault(vpn)
-        outcome = self.mmu.translate(vaddr)
-        t = now + outcome.tlb_latency_ns
-        for step in outcome.walk_steps:
-            t, _level = self.cached_access(step.entry_addr, t, False,
-                                           RequestKind.NODE_PTW)
-        npa = self.mmu.physical_address(outcome.frame, vaddr)
-        return self.cached_access(npa, t, is_write, RequestKind.DATA)
-
-    # ------------------------------------------------------------------
     # Core timing
     # ------------------------------------------------------------------
-    def step(self, event: TraceEvent) -> float:
-        """Advance the core over one trace event; returns core time.
-
-        This is the boxed *reference* path (the seed per-event loop),
-        the only surface still consuming :class:`TraceEvent` objects;
-        production runs go through the functional/timing split
-        (:mod:`repro.core.split`), and the hot-path equivalence suite
-        proves both produce bit-identical stats.
-        """
-        gap, vaddr, is_write, dependent = event
-        self.instructions += gap + 1
-        self.memory_events += 1
-        self.core_time_ns += gap * self._slot_ns
-
-        issue = self.window.admit(self.core_time_ns)
-        completion, level = self.access(vaddr, is_write, issue)
-        if level:
-            # On-chip hit: a short, effectively blocking latency.
-            self.core_time_ns = completion
-        else:
-            self.window.record(completion)
-            if dependent and not is_write:
-                self.core_time_ns = max(self.core_time_ns, completion)
-            else:
-                self.core_time_ns = max(self.core_time_ns,
-                                        issue + self._slot_ns)
-        return self.core_time_ns
-
     def drain(self) -> float:
         """Wait for all outstanding requests; returns final time."""
         self.core_time_ns = max(self.core_time_ns,

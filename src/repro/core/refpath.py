@@ -7,14 +7,21 @@ seed implementation, which boxed every intermediate outcome into a
 dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
 ``TranslationOutcome`` per translation, ``HierarchyResult`` per cache
 access, ``TranslatorLookup`` / ``WalkTiming`` / ``VerificationResult``
-per FAM access).  This module preserves that implementation verbatim —
-operating on the *same* component instances, so the two paths can be
-run against identical state — for two purposes:
+per FAM access).  This module preserves that implementation verbatim,
+the boxes included (the components' own probes return tuples; only
+``AccessResult`` and ``VerificationResult`` back a component's boxed
+API), operating on the *same* component instances, so the two paths
+can be run against identical state.  It serves three purposes:
 
 * the hot-path equivalence suite (``tests/test_hot_path_equivalence``)
   proves the reworked path produces **bit-identical** run stats;
 * the core-loop microbenchmark (``benchmarks/test_bench_core_loop``)
-  measures the rework's speedup against the true seed cost profile.
+  measures the rework's speedup against the true seed cost profile;
+* the node and architecture unit tests drive single accesses through
+  :func:`reference_access` and single events through
+  :func:`reference_step` — :class:`~repro.core.node.Node` has no
+  per-event method of its own, and the oracle is bit-identical to
+  the production path, so what those tests pin holds for both.
 
 Two deliberate departures from the seed, both accounting *bugfixes*
 shipped in the same change and therefore part of the reference
@@ -33,30 +40,98 @@ it is a white-box reference, not an API.
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
+from repro.cache.hierarchy import CacheHierarchy
 from repro.config.system import PAGE_BYTES
 from repro.core.architectures import EFam, IFam, _DeactBase
 from repro.core.node import Node
 from repro.errors import AccessViolationError, ProtocolError
 from repro.mem.request import RequestKind
 from repro.pagetable.walker import PageTableWalker, WalkResult, _BITS_PER_LEVEL
-from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache
-from repro.stu.stu import Stu, VerificationResult, WalkTiming
-from repro.tlb.mmu import Mmu, TranslationOutcome
-from repro.tlb.tlb import TlbLookup, TwoLevelTlb
-from repro.translator.fam_translator import (
-    _TAG_MATCH_NS,
-    FamTranslator,
-    TranslatorLookup,
-)
+from repro.pagetable.x86 import WalkStep
+from repro.stu.organizations import DeactWAcmCache
+from repro.stu.stu import Stu, VerificationResult
+from repro.tlb.mmu import Mmu
+from repro.tlb.tlb import TwoLevelTlb
+from repro.translator.fam_translator import _TAG_MATCH_NS, FamTranslator
 from repro.workloads.trace import TraceEvent
 
-__all__ = ["reference_step"]
+__all__ = ["reference_access", "reference_step"]
 
 _NO_WRITEBACKS: Tuple[int, ...] = ()
+
+
+# ----------------------------------------------------------------------
+# The seed's result boxes (one per probe; the fast path returns tuples)
+# ----------------------------------------------------------------------
+@dataclass
+class HierarchyResult:
+    """One cache-hierarchy access: ``level`` 1..3 for the level that
+    hit, 0 for a full miss; ``latency_ns`` down to the serving level;
+    ``writebacks`` the byte addresses of dirty LLC victims."""
+
+    level: int
+    latency_ns: float
+    writebacks: Tuple[int, ...] = _NO_WRITEBACKS
+
+    @property
+    def hit(self) -> bool:
+        return self.level != 0
+
+
+@dataclass
+class TlbLookup:
+    """One TLB probe: ``level`` 1 or 2 on a hit (``frame`` valid), 0
+    on a full miss."""
+
+    level: int
+    frame: Optional[int] = None
+    latency_ns: float = 0.0
+
+    @property
+    def hit(self) -> bool:
+        return self.level != 0
+
+
+@dataclass
+class TranslationOutcome:
+    """One MMU translation: the frame, the TLB level that served it
+    (0 when a walk was needed), the on-chip TLB latency, and the
+    page-table reads the walk left for the memory system."""
+
+    vpn: int
+    frame: int
+    tlb_level: int
+    tlb_latency_ns: float = 0.0
+    walk_steps: List[WalkStep] = field(default_factory=list)
+    walk_cache_skips: int = 0
+
+
+@dataclass
+class TranslatorLookup:
+    """One FAM-translator lookup; ``fam_page`` is ``None`` on a miss."""
+
+    node_page: int
+    fam_page: Optional[int]
+    completion_ns: float
+
+    @property
+    def hit(self) -> bool:
+        return self.fam_page is not None
+
+
+@dataclass
+class WalkTiming:
+    """One system-page-table walk performed by the STU."""
+
+    fam_page: int
+    completion_ns: float
+    memory_accesses: int
+    skipped_levels: int
+
 
 # The outstanding-mapping list needs request identities; the simulator
 # processes one FAM access at a time per call, so a module-level
@@ -421,8 +496,16 @@ def _ref_cached_access(node: Node, npa: int, now: float, is_write: bool,
     return _ref_memory_access(node, npa, t, is_write, kind), 0
 
 
-def _ref_node_access(node: Node, vaddr: int, is_write: bool,
+def reference_access(node: Node, vaddr: int, is_write: bool,
                      now: float) -> Tuple[float, int]:
+    """One virtual-address access by ``node`` issued at ``now``:
+    demand paging, translation (walk reads charged through the caches
+    and memory path), then the data reference.
+
+    Returns ``(completion_ns, level)`` with ``level`` 1..3 for an
+    on-chip hit and 0 when memory served the data.  Core time and the
+    outstanding window are not touched (see :func:`reference_step`).
+    """
     vpn = node.mmu.vpn_of(vaddr)
     if vpn not in node._mapped_vpns:
         node._handle_page_fault(vpn)
@@ -443,7 +526,7 @@ def reference_step(node: Node, event: TraceEvent) -> float:
     node.core_time_ns += gap * node._slot_ns
 
     issue = node.window.admit(node.core_time_ns)
-    completion, level = _ref_node_access(node, vaddr, is_write, issue)
+    completion, level = reference_access(node, vaddr, is_write, issue)
     if level:
         node.core_time_ns = completion
     else:

@@ -384,7 +384,8 @@ def replay(node: "Node", decoded: "DecodedTrace", stream: NodeStream,
     them, before the event's first memory access.
 
     The core's outstanding window (``OutstandingWindow.admit`` /
-    ``record``) and the LLC-miss routing (``Node.memory_access``) are
+    ``record``) and the LLC-miss routing (local DRAM below
+    ``fam_zone_base``, else the architecture's FAM procedure) are
     inlined; every call into a component — ``DramDevice.access``, the
     architecture's ``fam_access_fast``, ``MemoryBroker.ensure_mapped``
     — stays a real call, once per operation.

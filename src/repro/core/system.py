@@ -87,8 +87,7 @@ class FamSystem:
     # ------------------------------------------------------------------
     def run(self, traces: Union[Trace, Sequence[Trace]],
             benchmark: Optional[str] = None,
-            reference: bool = False,
-            mode: Optional[str] = None) -> RunResult:
+            mode: str = DEFAULT_EXECUTION_MODE) -> RunResult:
         """Run one trace per node to completion.
 
         A single trace is replicated across nodes with per-node seeds
@@ -108,29 +107,22 @@ class FamSystem:
           and the FAM-side timing is replayed from the stream.
         * ``"reference"`` — the boxed seed path preserved in
           :mod:`repro.core.refpath`, kept as the oracle.
-          ``reference=True`` is an alias.
         """
         if isinstance(traces, Trace):
             traces = [traces] * len(self.nodes)
         if len(traces) != len(self.nodes):
             raise ConfigError(
                 f"got {len(traces)} traces for {len(self.nodes)} nodes")
-        resolved = "reference" if reference else (
-            mode or DEFAULT_EXECUTION_MODE)
-        if resolved == "batch":
+        if mode not in EXECUTION_MODES:
             raise ConfigError(
-                "the batch execution tier was removed; use mode='fast' "
-                "(the functional/timing split) or 'reference'")
-        if resolved not in EXECUTION_MODES:
-            raise ConfigError(
-                f"unknown execution mode {resolved!r}; choose from "
+                f"unknown execution mode {mode!r}; choose from "
                 f"{', '.join(EXECUTION_MODES)}")
 
         self.stream_counts = {"built": 0, "reused": 0, "refused": 0}
         fresh = [not node.has_run for node in self.nodes]
         for node in self.nodes:
             node.has_run = True
-        if resolved == "reference":
+        if mode == "reference":
             for node in self.nodes:
                 node.materialize()
             self._run_reference(traces)

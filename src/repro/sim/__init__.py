@@ -8,8 +8,9 @@ component in the reproduction:
   server, banked, and bounded outstanding-request windows).  These model
   queueing at DRAM/NVM banks, fabric ports and miss-handling registers
   without a full event calendar per request.
-* :mod:`repro.sim.engine` — a small event loop used to interleave
-  multiple nodes' access streams in global time order.
+* :mod:`repro.sim.engine` — a small deterministic event loop.  No
+  simulator path uses it: the multi-node drivers order nodes with
+  :mod:`heapq` directly.
 * :mod:`repro.sim.stats` — counter/histogram registries every component
   reports into.
 

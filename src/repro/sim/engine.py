@@ -1,11 +1,11 @@
 """A minimal deterministic event loop.
 
-The library mostly composes latencies synchronously through busy-until
-resources, but the multi-node driver (Figure 16) needs to interleave
-several nodes' access streams in global time order so that contention on
-the shared fabric and FAM banks is applied in the order real hardware
-would see it.  :class:`EventLoop` provides exactly that: a stable
-min-heap of ``(time, sequence, callback)`` entries.
+The library composes latencies synchronously through busy-until
+resources, and the multi-node drivers (``split.run_replays`` and
+``FamSystem._run_reference``) interleave nodes with :mod:`heapq`
+directly, so no simulator path uses this loop.  :class:`EventLoop` is a
+stable min-heap of ``(time, sequence, callback)`` entries, kept as a
+general-purpose scheduler with pinned ordering guarantees.
 """
 
 from __future__ import annotations

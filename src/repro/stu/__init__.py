@@ -23,7 +23,7 @@ from repro.stu.organizations import (
     DeactWAcmCache,
     IFamStuCache,
 )
-from repro.stu.stu import Stu, VerificationResult, WalkTiming
+from repro.stu.stu import Stu, VerificationResult
 
 __all__ = [
     "IFamStuCache",
@@ -31,5 +31,4 @@ __all__ = [
     "DeactNAcmCache",
     "Stu",
     "VerificationResult",
-    "WalkTiming",
 ]

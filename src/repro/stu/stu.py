@@ -9,9 +9,9 @@ The unit exposes three timed operations used by the architecture
 strategies in :mod:`repro.core.architectures`:
 
 * :meth:`ifam_translate` — the I-FAM combined lookup/walk.
-* :meth:`walk_system_table` — a FAM page-table walk on behalf of a
+* :meth:`walk_system_table_fast` — a FAM page-table walk on behalf of a
   DeACT FAM-translator miss (serial FAM round trips per level).
-* :meth:`verify_access` — the DeACT verification step: ACM cache
+* :meth:`verify_access_fast` — the DeACT verification step: ACM cache
   lookup, metadata-block fetch from FAM on a miss, shared-page bitmap
   consultation, and the actual allow/deny decision against the
   authoritative :class:`~repro.acm.store.AcmStore`.
@@ -20,7 +20,7 @@ strategies in :mod:`repro.core.architectures`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from repro.acm.metadata import Permission
 from repro.acm.store import AcmStore
@@ -29,25 +29,15 @@ from repro.errors import AccessViolationError, ProtocolError
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import NvmDevice
 from repro.mem.request import RequestKind
-from repro.pagetable.walker import PageTableWalker, WalkResult
+from repro.pagetable.walker import PageTableWalker
 from repro.sim.stats import Stats
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache, IFamStuCache
 
-__all__ = ["Stu", "WalkTiming", "VerificationResult"]
+__all__ = ["Stu", "VerificationResult"]
 
 #: Enum attribute lookups hoisted off the per-access path.
 _KIND_FAM_PTW = RequestKind.FAM_PTW
 _KIND_ACM = RequestKind.ACM
-
-
-@dataclass
-class WalkTiming:
-    """Outcome of a system-page-table walk performed by the STU."""
-
-    fam_page: int
-    completion_ns: float
-    memory_accesses: int
-    skipped_levels: int
 
 
 @dataclass
@@ -102,9 +92,8 @@ class Stu:
         # memory-level parallelism in I-FAM — the core can overlap 32
         # data misses, but their walks form a queue at the STU.
         self._ptw_busy_until = 0.0
-        # Outcomes of the most recent walk and verification, for the
-        # boxed walk_system_table / verify_access wrappers.
-        self._last_walk: Optional[WalkResult] = None
+        # Outcome of the most recent verification, for the boxed
+        # verify_access wrapper.
         self._last_verification = (True, False, False)
 
     # ------------------------------------------------------------------
@@ -152,7 +141,6 @@ class Stu:
         dependent FAM read: router -> FAM port -> NVM bank -> router.
         """
         result = self.walker.walk(node_page)
-        self._last_walk = result
         # Queue behind any walk already in flight at this STU's PTW
         # unit, then hold the unit for the whole walk.
         busy = self._ptw_busy_until
@@ -171,14 +159,6 @@ class Stu:
         self._counters["walks"] += 1.0
         self._counters["walk_accesses"] += float(len(result.steps))
         return result.frame, t
-
-    def walk_system_table(self, node_page: int, now: float) -> WalkTiming:
-        """Walk the broker-maintained system page table (boxed)."""
-        fam_page, t = self.walk_system_table_fast(node_page, now)
-        result = self._last_walk
-        return WalkTiming(fam_page=fam_page, completion_ns=t,
-                          memory_accesses=len(result.steps),
-                          skipped_levels=result.skipped_levels)
 
     # ------------------------------------------------------------------
     # DeACT verification path

@@ -9,8 +9,7 @@ walks are ordinary memory reads to wherever the table pages live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.config.system import PtwConfig, TlbConfig
 from repro.core.hotpath import hot_path
@@ -18,39 +17,7 @@ from repro.pagetable.walker import PageTableWalker
 from repro.pagetable.x86 import FourLevelPageTable, WalkStep
 from repro.tlb.tlb import TwoLevelTlb
 
-__all__ = ["Mmu", "TranslationOutcome"]
-
-
-@dataclass
-class TranslationOutcome:
-    """Everything the node needs to charge one virtual-address
-    translation.
-
-    Attributes
-    ----------
-    vpn / frame:
-        Virtual page number and the node-physical frame it maps to.
-    tlb_level:
-        1 or 2 on a TLB hit, 0 when a walk was required.
-    tlb_latency_ns:
-        On-chip TLB lookup latency (L2 probe cost on L1 miss).
-    walk_steps:
-        Physical addresses of the page-table entries the walk must
-        read from the memory system (empty on TLB hits).
-    walk_cache_skips:
-        Interior levels short-circuited by the walk caches.
-    """
-
-    vpn: int
-    frame: int
-    tlb_level: int
-    tlb_latency_ns: float = 0.0
-    walk_steps: List[WalkStep] = field(default_factory=list)
-    walk_cache_skips: int = 0
-
-    @property
-    def tlb_hit(self) -> bool:
-        return self.tlb_level != 0
+__all__ = ["Mmu"]
 
 
 class Mmu:
@@ -75,32 +42,6 @@ class Mmu:
         offset = vaddr & (self.page_bytes - 1)
         return (frame << self._page_shift) | offset
 
-    def translate(self, vaddr: int) -> TranslationOutcome:
-        """Translate ``vaddr``; walk the page table on a TLB miss.
-
-        Walks install the leaf translation into both TLB levels before
-        returning, as hardware does.  This is the boxed (reference)
-        path; the functional pass (:mod:`repro.core.split`) uses the
-        allocation-free :meth:`translate_fast` accounting (through
-        :meth:`translate_after_l1_miss`), pinned to this method by the
-        hot-path equivalence suite.
-        """
-        self.translations += 1
-        vpn = self.vpn_of(vaddr)
-        lookup = self.tlb.lookup(vpn)
-        if lookup.hit:
-            assert lookup.frame is not None
-            return TranslationOutcome(vpn=vpn, frame=lookup.frame,
-                                      tlb_level=lookup.level,
-                                      tlb_latency_ns=lookup.latency_ns)
-        self.walks += 1
-        walk = self.walker.walk(vpn)
-        self.tlb.install(vpn, walk.frame)
-        return TranslationOutcome(vpn=vpn, frame=walk.frame, tlb_level=0,
-                                  tlb_latency_ns=lookup.latency_ns,
-                                  walk_steps=walk.steps,
-                                  walk_cache_skips=walk.skipped_levels)
-
     _NO_STEPS: Tuple = ()
 
     def translate_fast(
@@ -110,8 +51,8 @@ class Mmu:
         Returns ``(frame, tlb_level, tlb_latency_ns, walk_steps)``;
         ``walk_steps`` is empty on TLB hits and otherwise lists the
         page-table reads the caller must charge through the memory
-        system.  Accounting (translation/walk counters, TLB fills) is
-        identical to :meth:`translate`.
+        system.  Walks install the leaf translation into both TLB
+        levels before returning, as hardware does.
         """
         self.translations += 1
         level, frame, latency = self.tlb.lookup_fast(vpn)

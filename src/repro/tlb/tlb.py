@@ -3,38 +3,19 @@
 L1 misses probe L2; an L2 hit refills L1.  Both levels cache full
 VPN -> frame leaf translations (4 KB pages, as throughout the paper).
 
-The per-event path is :meth:`TwoLevelTlb.lookup_fast`, which returns a
-plain tuple; :meth:`lookup` boxes the same probe into a
-:class:`TlbLookup` for non-hot callers and tests.
+The probe is :meth:`TwoLevelTlb.lookup_fast`, which returns a plain
+tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config.system import TlbConfig
 from repro.errors import ConfigError
 
-__all__ = ["TwoLevelTlb", "TlbLookup"]
-
-
-@dataclass
-class TlbLookup:
-    """Result of a TLB probe.
-
-    ``level`` is 1 or 2 for hits, 0 for a full miss; ``frame`` is the
-    translated physical frame on a hit.
-    """
-
-    level: int
-    frame: Optional[int] = None
-    latency_ns: float = 0.0
-
-    @property
-    def hit(self) -> bool:
-        return self.level != 0
+__all__ = ["TwoLevelTlb"]
 
 
 def _level_geometry(name: str, entries: int, associativity: int) -> int:
@@ -81,7 +62,7 @@ class TwoLevelTlb:
 
         ``level`` is 1/2 for hits (with ``frame`` valid) and 0 for a
         full miss (``frame`` is -1 and must not be used).  L2 hits
-        refill L1, as in :meth:`lookup`.  The L1 probe is inlined
+        refill L1.  The L1 probe is inlined
         (``get_line``'s body, LRU promotion unconditional — both TLB
         levels are always LRU) because most translations end there.
         """
@@ -100,12 +81,6 @@ class TwoLevelTlb:
             self.l1.fill_line(vpn, frame)
             return 2, frame, self._l2_latency_ns
         return 0, -1, self._l2_latency_ns
-
-    def lookup(self, vpn: int) -> TlbLookup:
-        """Probe L1 then L2; refill L1 from an L2 hit."""
-        level, frame, latency = self.lookup_fast(vpn)
-        return TlbLookup(level=level, frame=frame if level else None,
-                         latency_ns=latency)
 
     def install(self, vpn: int, frame: int) -> None:
         """Insert a translation into both levels (walk refill)."""

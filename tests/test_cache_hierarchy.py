@@ -15,43 +15,44 @@ def tiny_hierarchy():
     )
 
 
+def access(hierarchy, addr, write=False):
+    """Byte-address access: ``(level, latency_ns, writebacks)``."""
+    return hierarchy.access_fast(addr >> hierarchy.block_shift, write)
+
+
 class TestHitPath:
     def test_cold_miss_hits_no_level(self):
         hierarchy = tiny_hierarchy()
-        result = hierarchy.access(0)
-        assert result.level == 0
-        assert not result.hit
-        assert result.latency_ns == 14.0  # checked all three levels
+        level, latency, _writebacks = access(hierarchy, 0)
+        assert level == 0
+        assert latency == 14.0  # checked all three levels
 
     def test_second_access_hits_l1(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.access(0)
-        result = hierarchy.access(0)
-        assert result.level == 1
-        assert result.latency_ns == 1.0
+        access(hierarchy, 0)
+        level, latency, _writebacks = access(hierarchy, 0)
+        assert level == 1
+        assert latency == 1.0
 
     def test_block_granularity(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.access(0)
-        result = hierarchy.access(63)  # same 64B block
-        assert result.level == 1
+        access(hierarchy, 0)
+        assert access(hierarchy, 63)[0] == 1  # same 64B block
 
     def test_adjacent_block_misses(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.access(0)
-        result = hierarchy.access(64)
-        assert result.level == 0
+        access(hierarchy, 0)
+        assert access(hierarchy, 64)[0] == 0
 
     def test_l2_hit_refills_l1(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.access(0)
+        access(hierarchy, 0)
         # Evict block 0 from L1 (2-way sets of 2: fill same L1 set).
         l1_sets = hierarchy.levels[0].n_sets
-        hierarchy.access(64 * l1_sets)
-        hierarchy.access(64 * 2 * l1_sets)
+        access(hierarchy, 64 * l1_sets)
+        access(hierarchy, 64 * 2 * l1_sets)
         assert hierarchy.levels[0].probe(0) is None
-        result = hierarchy.access(0)
-        assert result.level == 2
+        assert access(hierarchy, 0)[0] == 2
         # And L1 now holds it again.
         assert hierarchy.levels[0].probe(0) is not None
 
@@ -60,19 +61,19 @@ class TestInclusivity:
     def test_l3_eviction_back_invalidates(self):
         hierarchy = tiny_hierarchy()
         l3 = hierarchy.levels[2]
-        hierarchy.access(0)
+        access(hierarchy, 0)
         # Fill the L3 set containing block 0 until 0 is evicted.
         addr = 0
         while l3.probe(0) is not None:
             addr += 64 * l3.n_sets
-            hierarchy.access(addr)
+            access(hierarchy, addr)
         assert hierarchy.levels[0].probe(0) is None
         assert hierarchy.levels[1].probe(0) is None
 
     def test_inner_levels_subset_of_l3(self):
         hierarchy = tiny_hierarchy()
         for i in range(200):
-            hierarchy.access(i * 64 * 3)
+            access(hierarchy, i * 64 * 3)
         l3 = hierarchy.levels[2]
         for inner in hierarchy.levels[:2]:
             for lines in inner._sets:
@@ -84,32 +85,32 @@ class TestWritebacks:
     def test_dirty_l3_eviction_reports_writeback(self):
         hierarchy = tiny_hierarchy()
         l3 = hierarchy.levels[2]
-        hierarchy.access(0, write=True)
+        access(hierarchy, 0, write=True)
         writebacks = []
         addr = 0
         while l3.probe(0) is not None:
             addr += 64 * l3.n_sets
-            writebacks += hierarchy.access(addr).writebacks
+            writebacks += access(hierarchy, addr)[2]
         assert 0 in writebacks
 
     def test_clean_eviction_no_writeback(self):
         hierarchy = tiny_hierarchy()
         l3 = hierarchy.levels[2]
-        hierarchy.access(0, write=False)
+        access(hierarchy, 0, write=False)
         writebacks = []
         addr = 0
         while l3.probe(0) is not None:
             addr += 64 * l3.n_sets
-            writebacks += hierarchy.access(addr).writebacks
+            writebacks += access(hierarchy, addr)[2]
         assert 0 not in writebacks
 
 
 class TestStats:
     def test_llc_miss_count(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.access(0)
-        hierarchy.access(0)
-        hierarchy.access(6400)
+        access(hierarchy, 0)
+        access(hierarchy, 0)
+        access(hierarchy, 6400)
         assert hierarchy.llc_miss_count() == 2
 
     def test_miss_latency(self):
@@ -117,7 +118,7 @@ class TestStats:
 
     def test_contains(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.access(0)
+        access(hierarchy, 0)
         assert hierarchy.contains(0) == 1
         assert hierarchy.contains(10_000_000) is None
 

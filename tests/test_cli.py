@@ -531,8 +531,7 @@ class TestProfileCommand:
             main(["profile", "--benchmark", "mg", "--events", "800",
                   "--footprint-scale", "0.01", "--mode", "batch"])
         assert exc.value.code == 2
-        assert "batch execution tier was removed" in \
-            capsys.readouterr().err
+        assert "unknown execution mode 'batch'" in capsys.readouterr().err
 
 
 class TestFiguresCommand:

@@ -87,7 +87,7 @@ def _run_both(bench, architecture, config):
     fast = FamSystem(config, architecture, seed=seed).run(
         traces, benchmark=bench, mode="fast")
     reference = FamSystem(config, architecture, seed=seed).run(
-        traces, benchmark=bench, reference=True)
+        traces, benchmark=bench, mode="reference")
     return _result_to_dict(fast), _result_to_dict(reference)
 
 
@@ -144,7 +144,7 @@ class TestCatalogEquivalence:
             reference = FamSystem(default_config(), architecture,
                                   seed=seed).run(
                 [hot_loop_trace(4000, seed=11)], benchmark="hot-loop",
-                reference=True)
+                mode="reference")
             fast = FamSystem(default_config(), architecture,
                              seed=seed).run(
                 [hot_loop_trace(4000, seed=11)], benchmark="hot-loop",
@@ -226,7 +226,7 @@ class TestTimingStateEquivalence:
         fast = FamSystem(config, architecture, seed=seed)
         fast.run(traces, benchmark="canl", mode="fast")
         reference = FamSystem(config, architecture, seed=seed)
-        reference.run(traces, benchmark="canl", reference=True)
+        reference.run(traces, benchmark="canl", mode="reference")
         fast_state = _timing_state(fast)
         assert fast_state == _timing_state(reference)
         # Non-vacuous: the run reserved the FAM and (for DeACT)

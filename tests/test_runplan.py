@@ -194,7 +194,7 @@ class TestSegmentStats:
     def test_reference_run_has_no_census(self):
         trace = build_traces("mcf", 1, SETTINGS)[0]
         system = FamSystem(default_config(), "deact-n", seed=SEED)
-        system.run([trace], benchmark="mcf", reference=True)
+        system.run([trace], benchmark="mcf", mode="reference")
         assert system.stream_counts == {"built": 0, "reused": 0,
                                         "refused": 0}
         assert len(trace.stream_memo()) == 0

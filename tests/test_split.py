@@ -300,6 +300,6 @@ class TestRemovedTier:
         from repro.errors import ConfigError
 
         system = FamSystem(default_config(), "e-fam", seed=SEED)
-        with pytest.raises(ConfigError, match="batch execution tier was "
-                                              "removed"):
+        with pytest.raises(ConfigError,
+                           match="unknown execution mode 'batch'"):
             system.run(build_traces("mg", 1, SETTINGS), mode="batch")

@@ -25,12 +25,9 @@ def make_mmu(ptw_entries=32):
 class TestTwoLevelTlb:
     def test_miss_then_install_then_l1_hit(self):
         tlb = TwoLevelTlb(small_tlb_config())
-        assert not tlb.lookup(5).hit
+        assert tlb.lookup_fast(5)[0] == 0
         tlb.install(5, 50)
-        result = tlb.lookup(5)
-        assert result.hit
-        assert result.level == 1
-        assert result.frame == 50
+        assert tlb.lookup_fast(5) == (1, 50, 0.0)
 
     def test_l2_hit_refills_l1(self):
         tlb = TwoLevelTlb(small_tlb_config())
@@ -40,33 +37,33 @@ class TestTwoLevelTlb:
             tlb.install(vpn, vpn)
         if tlb.l1.probe(0) is not None:
             pytest.skip("vpn 0 survived L1 thrashing")
-        result = tlb.lookup(0)
-        assert result.level == 2
+        level, frame, _latency = tlb.lookup_fast(0)
+        assert (level, frame) == (2, 10)
         assert tlb.l1.probe(0) is not None
 
     def test_l2_hit_charges_latency(self):
         tlb = TwoLevelTlb(small_tlb_config())
-        result = tlb.lookup(99)
-        assert result.latency_ns == tlb.config.l2_latency_ns
+        _level, _frame, latency = tlb.lookup_fast(99)
+        assert latency == tlb.config.l2_latency_ns
 
     def test_invalidate(self):
         tlb = TwoLevelTlb(small_tlb_config())
         tlb.install(5, 50)
         tlb.invalidate(5)
-        assert not tlb.lookup(5).hit
+        assert tlb.lookup_fast(5)[0] == 0
 
     def test_flush(self):
         tlb = TwoLevelTlb(small_tlb_config())
         for vpn in range(4):
             tlb.install(vpn, vpn)
         tlb.flush()
-        assert not any(tlb.lookup(vpn).hit for vpn in range(4))
+        assert not any(tlb.lookup_fast(vpn)[0] for vpn in range(4))
 
     def test_hit_rate(self):
         tlb = TwoLevelTlb(small_tlb_config())
         tlb.install(1, 1)
-        tlb.lookup(1)
-        tlb.lookup(2)
+        tlb.lookup_fast(1)
+        tlb.lookup_fast(2)
         assert tlb.hit_rate == 0.5
 
 
@@ -74,48 +71,48 @@ class TestMmu:
     def test_translate_walks_on_cold_tlb(self):
         mmu, table = make_mmu()
         table.map(7, 70)
-        outcome = mmu.translate(7 * 4096 + 123)
-        assert outcome.frame == 70
-        assert outcome.tlb_level == 0
-        assert len(outcome.walk_steps) == 4
+        frame, tlb_level, _latency, steps = mmu.translate_fast(7)
+        assert frame == 70
+        assert tlb_level == 0
+        assert len(steps) == 4
 
     def test_translate_hits_after_walk(self):
         mmu, table = make_mmu()
         table.map(7, 70)
-        mmu.translate(7 * 4096)
-        outcome = mmu.translate(7 * 4096 + 64)
-        assert outcome.tlb_hit
-        assert outcome.walk_steps == []
+        mmu.translate_fast(7)
+        _frame, tlb_level, _latency, steps = mmu.translate_fast(7)
+        assert tlb_level != 0
+        assert len(steps) == 0
 
     def test_physical_address_combines_offset(self):
         mmu, table = make_mmu()
         table.map(7, 70)
-        outcome = mmu.translate(7 * 4096 + 123)
-        assert mmu.physical_address(outcome.frame, 7 * 4096 + 123) == \
-            70 * 4096 + 123
+        vaddr = 7 * 4096 + 123
+        frame = mmu.translate_fast(mmu.vpn_of(vaddr))[0]
+        assert mmu.physical_address(frame, vaddr) == 70 * 4096 + 123
 
     def test_walk_cache_shrinks_later_walks(self):
         mmu, table = make_mmu()
         table.map(0x100, 1)
         table.map(0x101, 2)
-        mmu.translate(0x100 * 4096)
-        outcome = mmu.translate(0x101 * 4096)
-        assert len(outcome.walk_steps) == 1  # only the PTE read
+        mmu.translate_fast(0x100)
+        steps = mmu.translate_fast(0x101)[3]
+        assert len(steps) == 1  # only the PTE read
 
     def test_shootdown_forces_rewalk(self):
         mmu, table = make_mmu()
         table.map(7, 70)
-        mmu.translate(7 * 4096)
+        mmu.translate_fast(7)
         mmu.shootdown(7)
-        outcome = mmu.translate(7 * 4096)
-        assert outcome.tlb_level == 0
-        assert len(outcome.walk_steps) == 4  # walker caches flushed too
+        _frame, tlb_level, _latency, steps = mmu.translate_fast(7)
+        assert tlb_level == 0
+        assert len(steps) == 4  # walker caches flushed too
 
     def test_walk_rate(self):
         mmu, table = make_mmu()
         table.map(7, 70)
-        mmu.translate(7 * 4096)
-        mmu.translate(7 * 4096)
+        mmu.translate_fast(7)
+        mmu.translate_fast(7)
         assert mmu.walk_rate == 0.5
 
     def test_vpn_of(self):

@@ -139,10 +139,10 @@ class TestFamTranslator:
 
     def test_lookup_charges_one_dram_access(self):
         translator, dram = self.make()
-        result = translator.lookup(5, now=0.0)
-        assert not result.hit
+        fam_page, completion = translator.lookup_fast(5, now=0.0)
+        assert fam_page is None
         assert dram.accesses == 1
-        assert result.completion_ns >= dram.config.access_ns
+        assert completion >= dram.config.access_ns
 
     def test_install_is_read_modify_write(self):
         translator, dram = self.make()
@@ -154,9 +154,8 @@ class TestFamTranslator:
     def test_hit_after_install(self):
         translator, _dram = self.make()
         translator.install(5, 500, now=0.0)
-        result = translator.lookup(5, now=200.0)
-        assert result.hit
-        assert result.fam_page == 500
+        fam_page, _completion = translator.lookup_fast(5, now=200.0)
+        assert fam_page == 500
 
     def test_row_addresses_inside_region(self):
         translator, _dram = self.make()
@@ -168,14 +167,14 @@ class TestFamTranslator:
         translator, dram = self.make()
         translator.install(5, 500, now=0.0)
         translator.shootdown(5, now=100.0)
-        assert not translator.lookup(5, now=200.0).hit
+        assert translator.lookup_fast(5, now=200.0)[0] is None
         assert dram.writes == 2  # install write + shootdown write
 
     def test_hit_rate_reported(self):
         translator, _dram = self.make()
         translator.install(5, 500, now=0.0)
-        translator.lookup(5, now=0.0)
-        translator.lookup(6, now=0.0)
+        translator.lookup_fast(5, now=0.0)
+        translator.lookup_fast(6, now=0.0)
         assert translator.hit_rate == 0.5
 
     def test_response_readdressing(self):
